@@ -7,18 +7,21 @@
 //                clip-free Adam step) on the paper model;
 //   serve-batch — the serving forward (BuildQueryBatch + ScoreAllItems
 //                 against a precomputed catalog) under NoGradGuard;
-//   serve-planned — the same batches through the planned inference executor
-//                 (src/infer/), whose contract is exactly 0 Storage
-//                 allocations per steady-state run in EITHER alloc mode
-//                 (the op plan owns all scratch), enforced by a stricter
-//                 zero budget below;
-//   serve-planned-int8 — the planned executor with the int8 catalog tier
+//   serve-planned — the same batches through the serving entry of the
+//                 planned inference executor (src/infer/): RunTopK, the
+//                 encoder forward plus the fused catalog score/top-K
+//                 stream, with per-row k and exclusion lists. Its contract
+//                 is exactly 0 Storage allocations per steady-state run in
+//                 EITHER alloc mode (the op plan owns all scratch),
+//                 enforced by a stricter zero budget below;
+//   serve-planned-int8 — the same entry with the int8 catalog tier
 //                 (InferConfig::quantize_catalog): per-batch activation
-//                 quantization must run out of the same plan-owned arena,
-//                 so the zero-Storage contract applies unchanged.
+//                 quantization must run out of plan-owned scratch too, so
+//                 the zero-Storage contract applies unchanged.
 // In --smoke mode the pool rows double as the CI allocator-churn regression
 // gate: the binary exits non-zero if steady-state mallocs-per-step exceeds
 // a small budget.
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -161,19 +164,28 @@ int main(int argc, char** argv) {
     }
     Rng rng(97);
     std::vector<serve::Query> queries(static_cast<size_t>(kBatch));
-    for (auto& q : queries) {
-      for (int i = 0; i < 12; ++i) {
+    std::vector<std::vector<int32_t>> excl(static_cast<size_t>(kBatch));
+    std::vector<infer::RankRequest> requests(static_cast<size_t>(kBatch));
+    for (size_t i = 0; i < queries.size(); ++i) {
+      serve::Query& q = queries[i];
+      for (int j = 0; j < 12; ++j) {
         q.items.push_back(
             static_cast<int32_t>(rng.UniformInt(wb.ds.num_items())));
         q.behaviors.push_back(
             static_cast<int32_t>(rng.UniformInt(wb.ds.num_behaviors())));
       }
+      // Serving excludes the history: sorted, with repeats.
+      excl[i] = q.items;
+      std::sort(excl[i].begin(), excl[i].end());
+      requests[i].k = 10;
+      requests[i].exclude = excl[i].data();
+      requests[i].num_exclude = static_cast<int64_t>(excl[i].size());
     }
+    std::vector<core::TopKList> lists(static_cast<size_t>(kBatch));
     ChurnResult r = measure([&] {
       data::Batch batch =
           serve::BuildQueryBatch(queries, wb.max_len, wb.ds.num_behaviors());
-      const float* scores = plan->Run(batch);
-      (void)scores;
+      plan->RunTopK(batch, requests.data(), lists.data());
     });
     alloc::Trim();
     return r;

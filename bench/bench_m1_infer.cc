@@ -1,16 +1,19 @@
 // M1-infer — graph vs planned inference executor, plus the int8 quantized
-// catalog tier. Headline metrics: wall clock per coalesced serve batch
-// (BuildQueryBatch + full-catalog forward) for the training-mode tensor
-// forward ("graph", the serving default and bitwise oracle), the planned
-// executor ("planned", src/infer/ — static op plan, fused kernels, pooled
-// scratch), and the int8 catalog plan ("planned-int8"); then a
-// catalog-score-stage comparison at serving scale (V = 20000) where the
-// int8 tier's throughput (>= 2.5x when AVX2 is active) and catalog memory
-// ratio (>= 3.0x, exact value 4d / (d + 4)) are gated. Before timing
-// anything the fp32 paths are checked bitwise-equal on the measured batch
-// and the int8 plan bitwise-deterministic across SIMD tiers; a mismatch is
-// an executor bug and fails the binary, in --smoke CI runs too. The speedup
-// columns are the PR-over-PR latency record in BENCH json.
+// catalog tier and the fused catalog rank stage. Headline metrics: wall
+// clock per coalesced serve batch (BuildQueryBatch + full-catalog forward)
+// for the training-mode tensor forward ("graph", the offline path and
+// bitwise oracle), the planned executor ("planned", src/infer/ — static op
+// plan, fused kernels, pooled scratch; the only serving executor), and the
+// int8 catalog plan ("planned-int8"); then a catalog-score-stage
+// comparison at serving scale (V = 20000) where the int8 tier's throughput
+// (>= 2.5x when AVX2 is active) and catalog memory ratio (>= 3.0x, exact
+// value 4d / (d + 4)) are gated; then the catalog rank stage (score + max
+// routing + top-10) unfused vs fused through 32-item panels, lists checked
+// equal before timing. Before timing anything the fp32 paths are checked
+// bitwise-equal on the measured batch and the int8 plan
+// bitwise-deterministic across SIMD tiers; a mismatch is an executor bug
+// and fails the binary, in --smoke CI runs too. The speedup columns are the
+// PR-over-PR latency record in BENCH json.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -22,6 +25,9 @@
 #include "bench_common.h"
 #include "core/missl.h"
 #include "data/batch.h"
+#include "core/recommend.h"
+#include "core/topk.h"
+#include "infer/catalog.h"
 #include "infer/plan.h"
 #include "runtime/parallel_for.h"
 #include "serve/service.h"
@@ -311,6 +317,127 @@ int main(int argc, char** argv) {
                    speedup);
       return 1;
     }
+  }
+
+  // Catalog rank stage: score + route + top-10 for one coalesced batch at
+  // the serve-catalog shape (B = 4, K = 3, d = 64), the unfused chain —
+  // GemmRows into a [B*K, V] logits buffer on the strided [d, V] catalog,
+  // the max over K into [B, V], then core::TopKRow per row — against the
+  // fused stage the serving entry runs (infer::PanelCatalog::TopK: 32-item
+  // panels, in-tile routing, bounded heaps). Both see the same exclusion
+  // lists; the lists must agree exactly before anything is timed. Timed
+  // interleaved with min-of-N, like the stage above.
+  {
+    const int64_t V = bench::SmokeMode() ? 20000 : 100000;
+    const int64_t d = 64, K = 3, B = 4;
+    const int32_t k = 10;
+    Rng crng(13);
+    std::vector<float> items(static_cast<size_t>(V * d));  // [V, d]
+    for (auto& x : items) x = crng.Uniform(-1.0f, 1.0f);
+    std::vector<float> cat(static_cast<size_t>(d * V));     // [d, V]
+    for (int64_t v = 0; v < V; ++v) {
+      for (int64_t j = 0; j < d; ++j) {
+        cat[static_cast<size_t>(j * V + v)] =
+            items[static_cast<size_t>(v * d + j)];
+      }
+    }
+    infer::PanelCatalog panels;
+    panels.PackFp32(items.data(), V, d, /*transposed=*/false);
+    std::vector<float> acts(static_cast<size_t>(B * K * d));
+    for (auto& a : acts) a = crng.Uniform(-2.0f, 2.0f);
+    std::vector<std::vector<int32_t>> excl(static_cast<size_t>(B));
+    std::vector<infer::RankRequest> reqs(static_cast<size_t>(B));
+    for (int64_t r = 0; r < B; ++r) {
+      auto& e = excl[static_cast<size_t>(r)];
+      for (int i = 0; i < 50; ++i) {
+        e.push_back(static_cast<int32_t>(crng.UniformInt(V)));
+      }
+      std::sort(e.begin(), e.end());
+      reqs[static_cast<size_t>(r)] = {k, e.data(),
+                                      static_cast<int64_t>(e.size())};
+    }
+    std::vector<float> logits(static_cast<size_t>(B * K * V));
+    std::vector<float> scores(static_cast<size_t>(B * V));
+    std::vector<core::TopKList> unfused(static_cast<size_t>(B));
+    std::vector<core::TopKList> fused(static_cast<size_t>(B));
+    auto unfused_step = [&] {
+      runtime::ParallelFor(
+          0, B * K, runtime::GrainForCost(2 * d * V),
+          [&](int64_t r0, int64_t r1) {
+            std::fill(logits.data() + r0 * V, logits.data() + r1 * V, 0.0f);
+            simd::GemmRows(acts.data(), cat.data(), logits.data(), d, V, r0,
+                           r1);
+          });
+      for (int64_t b = 0; b < B; ++b) {
+        for (int64_t v = 0; v < V; ++v) {
+          float best = -std::numeric_limits<float>::infinity();
+          for (int64_t kk = 0; kk < K; ++kk) {
+            const float x = logits[static_cast<size_t>((b * K + kk) * V + v)];
+            if (x > best) best = x;
+          }
+          scores[static_cast<size_t>(b * V + v)] = best;
+        }
+        core::TopKRow(scores.data() + b * V, static_cast<int32_t>(V),
+                      &excl[static_cast<size_t>(b)], k,
+                      &unfused[static_cast<size_t>(b)].items,
+                      &unfused[static_cast<size_t>(b)].scores);
+      }
+    };
+    infer::CatalogInput in;
+    in.batch = B;
+    in.group = K;
+    in.rows = acts.data();
+    auto fused_step = [&] { panels.TopK(in, reqs.data(), fused.data()); };
+    unfused_step();
+    fused_step();
+    for (int64_t b = 0; b < B; ++b) {
+      if (unfused[static_cast<size_t>(b)].items !=
+              fused[static_cast<size_t>(b)].items ||
+          unfused[static_cast<size_t>(b)].scores !=
+              fused[static_cast<size_t>(b)].scores) {
+        std::fprintf(stderr,
+                     "FAIL: fused catalog top-K differs from GemmRows + max "
+                     "+ TopKRow on row %lld (tier=%s)\n",
+                     static_cast<long long>(b),
+                     simd::TierName(simd::ActiveTier()));
+        return 1;
+      }
+    }
+    auto time_once = [&](const std::function<void()>& step) {
+      auto t0 = std::chrono::steady_clock::now();
+      step();
+      auto t1 = std::chrono::steady_clock::now();
+      return std::chrono::duration<double, std::micro>(t1 - t0).count();
+    };
+    for (int i = 0; i < kWarmup; ++i) {
+      unfused_step();
+      fused_step();
+    }
+    double unfused_us = std::numeric_limits<double>::infinity();
+    double fused_us = std::numeric_limits<double>::infinity();
+    for (int i = 0; i < kSteps; ++i) {
+      unfused_us = std::min(unfused_us, time_once(unfused_step));
+      fused_us = std::min(fused_us, time_once(fused_step));
+    }
+    Table rtable({"CatalogRank", "Batch", "Interests", "Items", "TopK",
+                  "us/call", "speedup"});
+    rtable.Row()
+        .Cell("gemm+max+topkrow")
+        .Int(B)
+        .Int(K)
+        .Int(V)
+        .Int(k)
+        .Num(unfused_us, 1)
+        .Num(1.0, 2);
+    rtable.Row()
+        .Cell("fused-panels")
+        .Int(B)
+        .Int(K)
+        .Int(V)
+        .Int(k)
+        .Num(fused_us, 1)
+        .Num(unfused_us / fused_us, 2);
+    rtable.Print();
   }
 
   std::printf("Expected shape: planned beats graph (no autograd nodes, no "

@@ -43,13 +43,9 @@
 //   --clients N              concurrent client threads (default 4)
 //   --batch N                micro-batcher max batch size (default 8)
 //   --wait-us N              micro-batcher max wait in us (default 2000)
-//   --executor KIND          forward implementation: "graph" (training-mode
-//                            tensor forward, the default and bitwise oracle)
-//                            or "planned" (src/infer/ static op plan, bitwise
-//                            identical by contract — docs/INFERENCE.md)
 //   --precision P            catalog-scoring precision: "fp32" (default) or
-//                            "int8" (quantized catalog tier; requires
-//                            --executor planned — docs/INFERENCE.md)
+//                            "int8" (quantized catalog tier —
+//                            docs/INFERENCE.md)
 //   --selftest               compare every answer with the offline
 //                            core::RecommendTopN path (exit 1 on mismatch);
 //                            under --precision int8 the reference is an
@@ -126,19 +122,16 @@ TCP mode:
                            (default 4)
   --max-conns N            connection limit (default 256)
 
-Scoring:
+Scoring (every batch runs through the compiled planned executor,
+src/infer/: encoder forward, then one pass over the catalog that scores and
+ranks together; docs/INFERENCE.md):
   --batch N                micro-batcher max batch size (default 8)
   --wait-us N              micro-batcher max wait in us (default 2000)
-  --executor KIND          forward implementation: "graph" (training-mode
-                           tensor forward; default, bitwise oracle) or
-                           "planned" (src/infer/ static op plan with pooled
-                           scratch, bitwise identical by contract; see
-                           docs/INFERENCE.md)
-  --precision P            catalog-scoring precision: "fp32" (default) or
-                           "int8" (symmetric per-item quantized catalog with
-                           int32 maddubs scoring; deterministic but not
-                           bitwise fp32 — requires --executor planned; see
-                           docs/INFERENCE.md)
+  --precision P            catalog-scoring precision: "fp32" (default;
+                           bitwise equal to offline RecommendTopN) or "int8"
+                           (symmetric per-item quantized catalog with int32
+                           maddubs scoring; deterministic but not bitwise
+                           fp32; see docs/INFERENCE.md)
 
 Model shape (must match between --init-checkpoint and serving):
   --items N / --behaviors N / --dim N / --interests N / --max-len N /
@@ -166,7 +159,6 @@ struct Options {
   int clients = 4;
   int32_t batch = 8;
   int64_t wait_us = 2000;
-  missl::serve::ExecutorKind executor = missl::serve::ExecutorKind::kGraph;
   missl::serve::Precision precision = missl::serve::Precision::kFp32;
   bool selftest = false;
   bool smoke = false;
@@ -225,17 +217,6 @@ int main(int argc, char** argv) {
     else if (a == "--clients") opt.clients = std::atoi(next("--clients").c_str());
     else if (a == "--batch") opt.batch = std::atoi(next("--batch").c_str());
     else if (a == "--wait-us") opt.wait_us = std::atoll(next("--wait-us").c_str());
-    else if (a == "--executor") {
-      std::string kind = next("--executor");
-      if (kind == "graph") opt.executor = serve::ExecutorKind::kGraph;
-      else if (kind == "planned") opt.executor = serve::ExecutorKind::kPlanned;
-      else {
-        std::fprintf(stderr,
-                     "--executor must be 'graph' or 'planned', got '%s'\n",
-                     kind.c_str());
-        return 2;
-      }
-    }
     else if (a == "--precision") {
       std::string p = next("--precision");
       if (p == "fp32") opt.precision = serve::Precision::kFp32;
@@ -316,7 +297,6 @@ int main(int argc, char** argv) {
     scfg.max_len = opt.max_len;
     scfg.max_batch = opt.batch;
     scfg.max_wait_us = opt.wait_us;
-    scfg.executor = opt.executor;
     scfg.precision = opt.precision;
     Status status;
     auto service = serve::RecoService::Load(MakeModel(opt), opt.items,
@@ -414,7 +394,6 @@ int main(int argc, char** argv) {
   scfg.max_len = opt.max_len;
   scfg.max_batch = opt.batch;
   scfg.max_wait_us = opt.wait_us;
-  scfg.executor = opt.executor;
   scfg.precision = opt.precision;
   Status load_status;
   auto service = serve::RecoService::Load(MakeModel(opt), opt.items,
@@ -423,11 +402,10 @@ int main(int argc, char** argv) {
   if (service == nullptr) return Fail("load failed: " + load_status.ToString());
   std::fprintf(stderr,
                "serving %s: %d items, %d behaviors, batch<=%d, wait %lldus, "
-               "%d client threads, %zu queries, %s executor, %s catalog\n",
+               "%d client threads, %zu queries, %s catalog\n",
                opt.checkpoint.c_str(), opt.items, opt.behaviors, opt.batch,
                static_cast<long long>(opt.wait_us), opt.clients,
-               queries.size(), serve::ExecutorKindName(opt.executor),
-               serve::PrecisionName(opt.precision));
+               queries.size(), serve::PrecisionName(opt.precision));
 
   // Fan the queries out over the client threads (query i -> thread i mod C)
   // and collect answers by index so output order matches input order.

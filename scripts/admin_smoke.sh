@@ -20,13 +20,20 @@ SERVE="$PWD/$BUILD/examples/missl_serve"
 
 # The usage text must exist (exit 0) and document the admin plane: the admin
 # HTTP port, the port file handshake this script relies on, the SIGUSR1
-# flight-recorder dump, and the executor selector.
+# flight-recorder dump, and the precision selector.
 echo "admin_smoke: --help documents the admin plane"
 help_out="$("$SERVE" --help)"
-for needle in "--admin" "--port-file" "--executor" "--precision" "SIGUSR1" "/metrics"; do
+for needle in "--admin" "--port-file" "--precision" "SIGUSR1" "/metrics"; do
   grep -q -- "$needle" <<< "$help_out" \
     || { echo "admin_smoke: --help output missing '$needle'"; exit 1; }
 done
+
+# There is one serving executor; the retired --executor flag is an unknown
+# flag now (exit 2), not a silently ignored one.
+echo "admin_smoke: --executor is rejected"
+rc=0
+"$SERVE" --executor planned > /dev/null 2>&1 || rc=$?
+[[ "$rc" == "2" ]] || { echo "admin_smoke: --executor exited $rc, want 2"; exit 1; }
 
 work="$(mktemp -d)"
 pid=""
@@ -55,10 +62,10 @@ except urllib.error.HTTPError as e:
 }
 
 # Server cwd is the scratch dir so the SIGUSR1 dump lands there. The int8
-# planned executor is selected explicitly so /statusz exposes the quantized
+# catalog tier is selected explicitly so /statusz exposes the quantized
 # catalog stats this script asserts on below.
 (cd "$work" && exec "$SERVE" --smoke --listen 0 --port-file ports \
-    --executor planned --precision int8) \
+    --precision int8) \
   > "$work/serve.log" 2>&1 &
 pid=$!
 
@@ -100,14 +107,13 @@ grep -q '^serve_stage_' <<< "$metrics" || { echo "admin_smoke: /metrics missing 
 grep -q '_bucket{le="+Inf"}' <<< "$metrics" || { echo "admin_smoke: /metrics missing +Inf buckets"; exit 1; }
 
 echo "admin_smoke: /statusz"
-# Valid JSON, and it must report the executor/precision the server was
-# launched with plus the int8 catalog stats (docs/INFERENCE.md): quantization
-# enabled, sane per-row scales, and the ~4x catalog memory saving.
+# Valid JSON, and it must report the precision the server was launched with
+# plus the int8 catalog stats (docs/INFERENCE.md): quantization enabled, sane
+# per-row scales, and the ~4x catalog memory saving.
 fetch "$base/statusz" | python3 -c '
 import json, sys
 s = json.load(sys.stdin)
 sc = s["serve_config"]
-assert sc["executor"] == "planned", sc
 assert sc["precision"] == "int8", sc
 q = s["quant"]
 assert q["enabled"] is True, q

@@ -13,8 +13,9 @@
 #      kernel_property_test, which sweeps the SIMD tiers at 1/2/4 threads,
 #      alloc_test, which stresses the pooled allocator's cross-thread
 #      free path, infer_test — the planned executor's tier × thread parity
-#      sweeps — and quant_test, the int8 catalog tier's kernel and
-#      executor parity suites)
+#      sweeps — quant_test, the int8 catalog tier's kernel and
+#      executor parity suites — and topk_test, which ranks through the
+#      fused catalog stage with per-thread heaps merged)
 #   4. Documentation consistency (scripts/check_docs.sh)
 #
 # Usage:
@@ -47,8 +48,8 @@ run_release() {
   echo "=== [release] serving-load smoke (TCP front-end under load) ==="
   ./build-check-release/bench/bench_m1_serve --smoke
   echo "=== [release] int8 serving smoke (accuracy-gated selftest) ==="
-  ./build-check-release/examples/missl_serve --smoke --executor planned \
-    --precision int8 --queries examples/serve_queries.tsv > /dev/null
+  ./build-check-release/examples/missl_serve --smoke --precision int8 \
+    --queries examples/serve_queries.tsv > /dev/null
   echo "=== [release] admin-plane smoke (/metrics /healthz /statusz /tracez) ==="
   scripts/admin_smoke.sh build-check-release
 }
@@ -72,7 +73,7 @@ run_tsan() {
   cmake --build build-check-tsan -j"$(nproc)" \
         --target runtime_test models_test serve_test tcp_server_test \
                  exposition_test kernel_property_test alloc_test \
-                 infer_test quant_test
+                 infer_test quant_test topk_test
   TSAN_OPTIONS=halt_on_error=1 MISSL_NUM_THREADS=4 ./build-check-tsan/tests/runtime_test
   TSAN_OPTIONS=halt_on_error=1 MISSL_NUM_THREADS=4 ./build-check-tsan/tests/models_test
   TSAN_OPTIONS=halt_on_error=1 MISSL_NUM_THREADS=4 ./build-check-tsan/tests/serve_test
@@ -82,6 +83,7 @@ run_tsan() {
   TSAN_OPTIONS=halt_on_error=1 MISSL_NUM_THREADS=4 ./build-check-tsan/tests/alloc_test
   TSAN_OPTIONS=halt_on_error=1 MISSL_NUM_THREADS=4 ./build-check-tsan/tests/infer_test
   TSAN_OPTIONS=halt_on_error=1 MISSL_NUM_THREADS=4 ./build-check-tsan/tests/quant_test
+  TSAN_OPTIONS=halt_on_error=1 MISSL_NUM_THREADS=4 ./build-check-tsan/tests/topk_test
 }
 
 run_docs() {

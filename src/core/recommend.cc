@@ -3,34 +3,36 @@
 #include <algorithm>
 #include <cmath>
 
+#include "core/topk.h"
 #include "utils/check.h"
 
 namespace missl::core {
 
 void TopKRow(const float* scores, int32_t num_items,
-             const std::vector<int32_t>* seen_sorted, int32_t k,
+             const std::vector<int32_t>* seen, int32_t k,
              std::vector<int32_t>* out_items, std::vector<float>* out_scores) {
   MISSL_CHECK(scores != nullptr && num_items > 0 && k > 0);
-  out_items->clear();
-  out_scores->clear();
-  std::vector<std::pair<float, int32_t>> ranked;
-  ranked.reserve(static_cast<size_t>(num_items));
-  for (int32_t i = 0; i < num_items; ++i) {
-    if (seen_sorted != nullptr &&
-        std::binary_search(seen_sorted->begin(), seen_sorted->end(), i)) {
-      continue;
+  const int32_t* ex = nullptr;
+  const int32_t* ex_end = nullptr;
+  std::vector<int32_t> sorted;  // only for unsorted exclusion lists
+  if (seen != nullptr && !seen->empty()) {
+    ex = seen->data();
+    ex_end = ex + seen->size();
+    if (!std::is_sorted(ex, ex_end)) {
+      // Live histories arrive in event order; the merge walk needs them
+      // ascending.
+      sorted.assign(ex, ex_end);
+      std::sort(sorted.begin(), sorted.end());
+      ex = sorted.data();
+      ex_end = ex + sorted.size();
     }
-    ranked.push_back({scores[i], i});
   }
-  int32_t take = std::min<int32_t>(k, static_cast<int32_t>(ranked.size()));
-  std::partial_sort(ranked.begin(), ranked.begin() + take, ranked.end(),
-                    [](const auto& a, const auto& b) {
-                      return a.first > b.first;
-                    });
-  for (int32_t i = 0; i < take; ++i) {
-    out_scores->push_back(ranked[static_cast<size_t>(i)].first);
-    out_items->push_back(ranked[static_cast<size_t>(i)].second);
-  }
+  std::vector<ScoredItem> slots(
+      static_cast<size_t>(std::min<int32_t>(k, num_items)));
+  TopKHeap heap;
+  heap.Reset(slots.data(), static_cast<int64_t>(slots.size()), ex, ex_end);
+  heap.Offer(scores, 0, num_items);
+  heap.Finish(out_items, out_scores);
 }
 
 std::vector<Recommendation> RecommendTopN(
@@ -48,18 +50,10 @@ std::vector<Recommendation> RecommendTopN(
   Tensor scores = model->ScoreAllItems(batch, num_items);
 
   std::vector<Recommendation> out;
-  std::vector<int32_t> sorted_copy;  // scratch for unsorted seen rows
   for (int64_t row = 0; row < batch.batch_size; ++row) {
     const float* rs = scores.data() + row * num_items;
     const std::vector<int32_t>* excl =
         seen.empty() ? nullptr : &seen[static_cast<size_t>(row)];
-    if (excl != nullptr && !std::is_sorted(excl->begin(), excl->end())) {
-      // Live histories arrive in event order; binary_search on an unsorted
-      // set would silently skip exclusions, so sort a defensive copy.
-      sorted_copy = *excl;
-      std::sort(sorted_copy.begin(), sorted_copy.end());
-      excl = &sorted_copy;
-    }
     Recommendation rec;
     rec.user = batch.users[static_cast<size_t>(row)];
     TopKRow(rs, num_items, excl, n, &rec.items, &rec.scores);

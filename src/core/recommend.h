@@ -19,22 +19,24 @@ struct Recommendation {
 };
 
 /// Scores the full catalog [0, num_items) for every example in `batch` and
-/// returns the top-N unseen items per row. `seen` gives, per row, the item
-/// set to exclude — sorted ascending is the fast path, but unsorted input
-/// (live user histories arrive in event order) is detected and sorted
-/// defensively. Pass an empty outer vector to disable exclusion.
+/// returns the top-N unseen items per row, ranked by the total order of
+/// core/topk.h (score descending, then id ascending, NaN last). `seen`
+/// gives, per row, the item set to exclude, in any order. Pass an empty
+/// outer vector to disable exclusion.
 std::vector<Recommendation> RecommendTopN(
     SeqRecModel* model, const data::Batch& batch,
     const std::vector<std::vector<int32_t>>& seen, int32_t n,
     int32_t num_items);
 
-/// Selects the top-k items of one score row, skipping ids found in
-/// `seen_sorted` (must be sorted ascending; nullptr disables exclusion).
-/// Appends best-first into `out_items`/`out_scores` (cleared first). Shared
-/// by RecommendTopN and the online serving path (src/serve/), which must
-/// rank bitwise-identically.
+/// Selects the top-k items of one score row under the total order of
+/// core/topk.h, skipping ids found in `seen` (any order, duplicates allowed;
+/// nullptr disables exclusion). Writes best-first into
+/// `out_items`/`out_scores` (cleared first) — min(k, eligible items)
+/// entries. A bounded k-heap: O(k) memory, not O(num_items). This is the
+/// offline reference the serving path (the planned executor's fused catalog
+/// stage) must match bitwise.
 void TopKRow(const float* scores, int32_t num_items,
-             const std::vector<int32_t>* seen_sorted, int32_t k,
+             const std::vector<int32_t>* seen, int32_t k,
              std::vector<int32_t>* out_items, std::vector<float>* out_scores);
 
 /// Beyond-accuracy statistics of a set of recommendation lists.

@@ -2,6 +2,7 @@
 // sequence + buffer table described in infer/plan.h. Everything here runs
 // exactly once per RecoService::Load; nothing in this file is on the
 // serving hot path.
+#include <algorithm>
 #include <cmath>
 #include <map>
 #include <sstream>
@@ -47,7 +48,6 @@ const char* KindName(OpKind k) {
     case OpKind::kCommonPool: return "common_pool";
     case OpKind::kBroadcastAddRow: return "broadcast_add_row";
     case OpKind::kCatalogScore: return "catalog_score";
-    case OpKind::kCatalogScoreQ: return "catalog_score_q";
   }
   return "?";
 }
@@ -65,6 +65,107 @@ int32_t PlannedExecutor::NewBuffer(int64_t per_b, std::string label) {
 const float* PlannedExecutor::AddConstant(std::vector<float> values) {
   constants_.push_back(std::move(values));
   return constants_.back().data();
+}
+
+Status PlannedExecutor::PackArena() {
+  // Live ranges: every buffer is live from the first op that touches it to
+  // the last one.
+  auto touched = [](const Op& op) {
+    std::vector<int32_t> ids = {op.src,     op.src2,    op.src3, op.dst,
+                                op.scratch, op.scratch2};
+    ids.insert(ids.end(), op.srcs.begin(), op.srcs.end());
+    return ids;
+  };
+  for (int32_t i = 0; i < static_cast<int32_t>(ops_.size()); ++i) {
+    for (int32_t id : touched(ops_[static_cast<size_t>(i)])) {
+      if (id < 0) continue;
+      BufferSpec& spec = bufs_[static_cast<size_t>(id)];
+      if (spec.first_op < 0) spec.first_op = i;
+      spec.last_op = i;
+    }
+  }
+  // First-fit by first use, in floats per batch row: each buffer takes the
+  // lowest 8-float-aligned offset that clears every already-placed buffer
+  // whose live range intersects its own. A run of b rows places every
+  // buffer at b * offset with b * per_b floats, which scales the whole
+  // packing uniformly — disjoint for one row means disjoint for any b.
+  auto floats_of = [](const BufferSpec& spec) {
+    return (spec.per_b + 7) / 8 * 8;
+  };
+  auto overlap_live = [](const BufferSpec& a, const BufferSpec& b) {
+    return a.first_op <= b.last_op && b.first_op <= a.last_op;
+  };
+  std::vector<int32_t> order(bufs_.size());
+  for (size_t i = 0; i < order.size(); ++i) order[i] = static_cast<int32_t>(i);
+  std::stable_sort(order.begin(), order.end(), [&](int32_t a, int32_t b) {
+    return bufs_[static_cast<size_t>(a)].first_op <
+           bufs_[static_cast<size_t>(b)].first_op;
+  });
+  std::vector<int32_t> placed;
+  int64_t total = 0;
+  for (int32_t id : order) {
+    BufferSpec& spec = bufs_[static_cast<size_t>(id)];
+    if (spec.first_op < 0) {
+      return Status::Internal("planned executor: buffer '" + spec.label +
+                              "' is never used");
+    }
+    std::vector<int32_t> conflicts;
+    for (int32_t other : placed) {
+      if (overlap_live(spec, bufs_[static_cast<size_t>(other)])) {
+        conflicts.push_back(other);
+      }
+    }
+    std::sort(conflicts.begin(), conflicts.end(), [&](int32_t a, int32_t b) {
+      return bufs_[static_cast<size_t>(a)].offset <
+             bufs_[static_cast<size_t>(b)].offset;
+    });
+    int64_t offset = 0;
+    const int64_t size = floats_of(spec);
+    for (int32_t c : conflicts) {
+      const BufferSpec& cs = bufs_[static_cast<size_t>(c)];
+      if (cs.offset >= offset + size) break;
+      offset = std::max(offset, cs.offset + floats_of(cs));
+    }
+    spec.offset = offset;
+    total = std::max(total, offset + size);
+    placed.push_back(id);
+  }
+  // Aliasing guards: no two buffers live at the same op share a float, and
+  // no op's inputs overlap its output.
+  auto disjoint = [&](int32_t a, int32_t b) {
+    const BufferSpec& x = bufs_[static_cast<size_t>(a)];
+    const BufferSpec& y = bufs_[static_cast<size_t>(b)];
+    return x.offset + floats_of(x) <= y.offset ||
+           y.offset + floats_of(y) <= x.offset;
+  };
+  for (int32_t i = 0; i < static_cast<int32_t>(ops_.size()); ++i) {
+    std::vector<int32_t> live;
+    for (int32_t id = 0; id < static_cast<int32_t>(bufs_.size()); ++id) {
+      const BufferSpec& spec = bufs_[static_cast<size_t>(id)];
+      if (spec.first_op <= i && i <= spec.last_op) live.push_back(id);
+    }
+    for (size_t a = 0; a < live.size(); ++a) {
+      for (size_t b = a + 1; b < live.size(); ++b) {
+        if (!disjoint(live[a], live[b])) {
+          return Status::Internal(
+              "planned executor: buffers '" +
+              bufs_[static_cast<size_t>(live[a])].label + "' and '" +
+              bufs_[static_cast<size_t>(live[b])].label +
+              "' overlap while both live at op " + std::to_string(i));
+        }
+      }
+    }
+    const Op& op = ops_[static_cast<size_t>(i)];
+    if (op.dst < 0) continue;
+    for (int32_t id : touched(op)) {
+      if (id >= 0 && id != op.dst && !disjoint(id, op.dst)) {
+        return Status::Internal("planned executor: op '" + op.label +
+                                "' reads a buffer that overlaps its output");
+      }
+    }
+  }
+  row_floats_ = total;
+  return Status::OK();
 }
 
 std::unique_ptr<PlannedExecutor> PlannedExecutor::Compile(
@@ -119,15 +220,15 @@ std::unique_ptr<PlannedExecutor> PlannedExecutor::Compile(
   ex->num_behaviors_ = static_cast<int32_t>(beh_w.size(0));
   const int32_t nb = ex->num_behaviors_;
 
-  if (!catalog.defined() || catalog.dim() != 2 || catalog.size(0) != d ||
-      catalog.size(1) != ex->num_items_) {
+  if (catalog.defined() &&
+      (catalog.dim() != 2 || catalog.size(0) != d ||
+       catalog.size(1) != ex->num_items_)) {
     *status = Status::InvalidArgument(
         "planned executor: catalog must be the [dim, num_items] transposed "
-        "item table from PrecomputeCatalog");
+        "item table from PrecomputeCatalog (or undefined: pack from the "
+        "model's item table)");
     return nullptr;
   }
-  ex->keepalive_.push_back(catalog);
-  ex->catalog_ = ex->keepalive_.back().data();
 
   MISSL_CHECK(cfg.heads >= 1 && d % cfg.heads == 0)
       << "planned executor: heads must divide dim";
@@ -570,42 +671,18 @@ std::unique_ptr<PlannedExecutor> PlannedExecutor::Compile(
     fused = fused2;
   }
 
-  // --- Catalog scoring with interest routing.
+  // --- Catalog stage: interest routing + scoring, fused with ranking on
+  // the serving path (infer/catalog.h). The catalog is packed once, from
+  // the caller's [d, V] matrix or straight from the [V, d] item table.
   const bool mean_routing = cfg.routing == core::InterestRouting::kMean;
   const int64_t V = ex->num_items_;
+  const bool transposed = catalog.defined();
+  const float* cat_src = transposed ? catalog.data() : item_w.data();
   if (!options.quantize_catalog) {
-    int32_t score_scratch = mean_routing
-                                ? ex->NewBuffer(d, "interest_mean")
-                                : ex->NewBuffer(K * V, "logits");
-    ex->scores_buf_ = ex->NewBuffer(V, "scores");
-    Op op;
-    op.kind = OpKind::kCatalogScore;
-    op.label = mean_routing ? "catalog_score(mean)" : "catalog_score(max)";
-    op.src = fused;
-    op.dst = ex->scores_buf_;
-    op.scratch = score_scratch;
-    op.w = ex->catalog_;
-    op.k = K;
-    op.in = d;
-    op.out = V;
-    op.flag = mean_routing;
-    emit(op);
+    ex->catalog_.PackFp32(cat_src, V, d, transposed);
   } else {
-    // Int8 tier: quantize the catalog once, per item. PrecomputeCatalog
-    // hands the [d, V] transposed table; repack item-major [V, d] so each
-    // item score is one contiguous int8 row-dot, with one fp32 scale per
-    // item (symmetric, zero-safe — tensor/quant.h).
-    std::vector<float> rows(static_cast<size_t>(V * d));
-    for (int64_t v = 0; v < V; ++v) {
-      for (int64_t j = 0; j < d; ++j) {
-        rows[static_cast<size_t>(v * d + j)] = ex->catalog_[j * V + v];
-      }
-    }
-    ex->catalog_q_.resize(static_cast<size_t>(V * d));
-    ex->catalog_scale_.resize(static_cast<size_t>(V));
-    quant::RowQuantStats st;
-    quant::QuantizeRowsSymmetric(rows.data(), V, d, ex->catalog_q_.data(),
-                                 ex->catalog_scale_.data(), &st);
+    const quant::RowQuantStats st =
+        ex->catalog_.PackInt8(cat_src, V, d, transposed);
     ex->qinfo_.enabled = true;
     ex->qinfo_.min_scale = st.min_scale;
     ex->qinfo_.max_scale = st.max_scale;
@@ -615,25 +692,20 @@ std::unique_ptr<PlannedExecutor> PlannedExecutor::Compile(
         V * d * static_cast<int64_t>(sizeof(int8_t)) +
         V * static_cast<int64_t>(sizeof(float));
     ex->qinfo_.fp32_bytes = V * d * static_cast<int64_t>(sizeof(float));
-    // Activation-side scratch: one quantized row per interest row (max
-    // routing) or per batch row (mean routing), plus the int32 accumulators
-    // the routing pass dequantizes from.
+    // One quantized activation row per interest row (max routing) or per
+    // batch row (mean routing).
     const int64_t act_rows = mean_routing ? max_batch : max_batch * K;
     ex->act_q_.assign(static_cast<size_t>(act_rows * d), 0);
     ex->act_scale_.assign(static_cast<size_t>(act_rows), 0.0f);
-    ex->acc_q_.assign(static_cast<size_t>(act_rows * V), 0);
-    int32_t score_scratch = mean_routing ? ex->NewBuffer(d, "interest_mean")
-                                         : -1;
-    ex->scores_buf_ = ex->NewBuffer(V, "scores");
+  }
+  {
     Op op;
-    op.kind = OpKind::kCatalogScoreQ;
-    op.label =
-        mean_routing ? "catalog_score_q(mean)" : "catalog_score_q(max)";
+    op.kind = OpKind::kCatalogScore;
+    op.label = std::string(options.quantize_catalog ? "catalog_score_q"
+                                                    : "catalog_score") +
+               (mean_routing ? "(mean)" : "(max)");
     op.src = fused;
-    op.dst = ex->scores_buf_;
-    op.scratch = score_scratch;
-    op.wq = ex->catalog_q_.data();
-    op.wscale = ex->catalog_scale_.data();
+    op.scratch = mean_routing ? ex->NewBuffer(d, "interest_mean") : -1;
     op.k = K;
     op.in = d;
     op.out = V;
@@ -641,13 +713,8 @@ std::unique_ptr<PlannedExecutor> PlannedExecutor::Compile(
     emit(op);
   }
 
-  // --- Lay the buffers out in one pooled arena sized for max_batch.
-  int64_t total = 0;
-  for (BufferSpec& spec : ex->bufs_) {
-    spec.offset = total;
-    total += max_batch * spec.per_b;
-  }
-  ex->arena_.assign(static_cast<size_t>(total), 0.0f);
+  *status = ex->PackArena();
+  if (!status->ok()) return nullptr;
 
   if (obs::MetricsEnabled()) {
     auto& reg = obs::MetricsRegistry::Global();

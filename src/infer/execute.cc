@@ -10,7 +10,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
-#include <limits>
 
 #include "hypergraph/incidence.h"
 #include "infer/plan.h"
@@ -68,7 +67,7 @@ inline void SoftmaxRow(float* row, int64_t n) {
 
 }  // namespace
 
-const float* PlannedExecutor::Run(const data::Batch& batch) {
+CatalogInput PlannedExecutor::Forward(const data::Batch& batch) {
   const int64_t b = batch.batch_size, t = t_;
   MISSL_CHECK(b >= 1 && b <= max_batch_)
       << "planned executor: batch size " << b << " exceeds compiled max_batch "
@@ -80,9 +79,6 @@ const float* PlannedExecutor::Run(const data::Batch& batch) {
   MISSL_CHECK(static_cast<int64_t>(batch.merged_items.size()) == n &&
               static_cast<int64_t>(batch.merged_behaviors.size()) == n)
       << "planned executor: merged stream size mismatch";
-
-  obs::TraceSpan span("infer.run", "infer");
-  const int64_t t0 = obs::NowNanos();
 
   // Masked id streams, exactly as MisslModel::Encode derives them:
   // effective items (aux-ablation hides non-target events), behaviors and
@@ -105,13 +101,38 @@ const float* PlannedExecutor::Run(const data::Batch& batch) {
     }
   }
   orig_behs_ = mb;
+  // The arena grows to the largest batch seen and is then reused as is, so
+  // steady-state runs never allocate.
+  if (arena_.size() < b * row_floats_) arena_.assign(b * row_floats_, 0.0f);
+  run_b_ = b;
 
-  for (const Op& op : ops_) Execute(op, b);
+  // The catalog op is always last (compile.cc): everything before it is
+  // the encoder forward.
+  for (size_t i = 0; i + 1 < ops_.size(); ++i) Execute(ops_[i], b);
+  return PrepareCatalogInput(ops_.back(), b);
+}
 
+const float* PlannedExecutor::Run(const data::Batch& batch) {
+  obs::TraceSpan span("infer.run", "infer");
+  const int64_t t0 = obs::NowNanos();
+  const CatalogInput in = Forward(batch);
+  if (scores_.empty()) scores_.assign(max_batch_ * num_items_, 0.0f);
+  catalog_.Score(in, scores_.data());
   InferMetrics& m = InferMetrics::Get();
   m.runs.Add(1);
   m.run_ns.Observe(obs::NowNanos() - t0);
-  return arena_.data() + bufs_[static_cast<size_t>(scores_buf_)].offset;
+  return scores_.data();
+}
+
+void PlannedExecutor::RunTopK(const data::Batch& batch,
+                              const RankRequest* requests,
+                              core::TopKList* out) {
+  obs::TraceSpan span("infer.run", "infer");
+  const int64_t t0 = obs::NowNanos();
+  catalog_.TopK(Forward(batch), requests, out);
+  InferMetrics& m = InferMetrics::Get();
+  m.runs.Add(1);
+  m.run_ns.Observe(obs::NowNanos() - t0);
 }
 
 void PlannedExecutor::Execute(const Op& op, int64_t b) {
@@ -128,10 +149,10 @@ void PlannedExecutor::Execute(const Op& op, int64_t b) {
     case OpKind::kGatedFuse: return ExecGatedFuse(op, b);
     case OpKind::kCommonPool: return ExecCommonPool(op, b);
     case OpKind::kBroadcastAddRow: return ExecBroadcastAddRow(op, b);
-    case OpKind::kCatalogScore: return ExecCatalogScore(op, b);
-    case OpKind::kCatalogScoreQ: return ExecCatalogScoreQ(op, b);
+    case OpKind::kCatalogScore:
+      break;  // the catalog stage is Run/RunTopK's, never Execute's
   }
-  MISSL_CHECK(false) << "planned executor: unknown op kind";
+  MISSL_CHECK(false) << "planned executor: op kind not executable here";
 }
 
 // (item + position) + behavior (+ recency) lookups summed per position.
@@ -490,13 +511,20 @@ void PlannedExecutor::ExecBroadcastAddRow(const Op& op, int64_t b) {
                        });
 }
 
-// Catalog scoring: interests x catalog [d, V], then max over K (strict >
-// ascending scan, as Max in ops_reduce.cc) or mean-then-GEMM for kMean
-// routing (ascending-K sum from 0.0f then the 1/K scale, as Mean).
-void PlannedExecutor::ExecCatalogScore(const Op& op, int64_t b) {
-  const int64_t K = op.k, d = op.in, V = op.out;
+// The catalog stage's input: the fused interests as they are (max
+// routing), or their mean (ascending-K sum from 0.0f then the 1/K scale, as
+// Mean) — quantized per row per run for the int8 catalog. The int8
+// quantization and dequant epilogue are scalar single-rounded formulas and
+// the integer dot is order-free, so int8 scores are bitwise identical on
+// every SIMD tier at every thread count (tests/quant_test.cc enforces it).
+CatalogInput PlannedExecutor::PrepareCatalogInput(const Op& op, int64_t b) {
+  const int64_t K = op.k, d = op.in;
   const float* ints = BufPtr(op.src);
-  float* dst = BufPtr(op.dst);
+  CatalogInput in;
+  in.batch = b;
+  in.group = K;
+  in.max_routing = !op.flag;
+  in.rows = ints;
   if (op.flag) {  // mean routing
     float* mean = BufPtr(op.scratch);
     runtime::ParallelFor(0, b, 1, [&](int64_t b0, int64_t b1) {
@@ -509,113 +537,23 @@ void PlannedExecutor::ExecCatalogScore(const Op& op, int64_t b) {
         }
       }
     });
-    runtime::ParallelFor(
-        0, b, runtime::GrainForCost(2 * d * V), [&](int64_t r0, int64_t r1) {
-          std::fill(dst + r0 * V, dst + r1 * V, 0.0f);
-          simd::GemmRows(mean, op.w, dst, d, V, r0, r1);
-        });
-    return;
+    in.group = 1;
+    in.rows = mean;
   }
-  float* logits = BufPtr(op.scratch);  // [b * K, V]
-  runtime::ParallelFor(
-      0, b * K, runtime::GrainForCost(2 * d * V), [&](int64_t r0, int64_t r1) {
-        std::fill(logits + r0 * V, logits + r1 * V, 0.0f);
-        simd::GemmRows(ints, op.w, logits, d, V, r0, r1);
-      });
-  runtime::ParallelFor(
-      0, b * V, runtime::GrainForCost(K), [&](int64_t i0, int64_t i1) {
-        for (int64_t i = i0; i < i1; ++i) {
-          const int64_t bb = i / V, vv = i % V;
-          float best = -std::numeric_limits<float>::infinity();
-          for (int64_t kk = 0; kk < K; ++kk) {
-            const float val = logits[(bb * K + kk) * V + vv];
-            if (val > best) best = val;
-          }
-          dst[i] = best;
-        }
-      });
-}
-
-// Int8 catalog scoring. Activation rows (the fused interests — or, for mean
-// routing, the per-batch fp32 interest mean computed exactly as the fp32
-// plan computes it) are quantized per row per Run; the item scores are int32
-// row-dots against the compile-time quantized catalog, dequantized by one
-// fp32 multiply fused into the max/mean routing pass. Determinism: the
-// integer dot is order-free (any tier blocking lands on quant::Int8DotRef),
-// the quantization and dequant epilogue are scalar single-rounded formulas
-// evaluated per element — so scores are bitwise identical on every SIMD
-// tier at every thread count (tests/quant_test.cc enforces it).
-void PlannedExecutor::ExecCatalogScoreQ(const Op& op, int64_t b) {
-  const int64_t K = op.k, d = op.in, V = op.out;
-  const float* ints = BufPtr(op.src);
-  float* dst = BufPtr(op.dst);
-  const float* act = ints;
-  int64_t rows = b * K;
-  if (op.flag) {  // mean routing: fp32 mean first, then quantize the mean row
-    float* mean = BufPtr(op.scratch);
-    runtime::ParallelFor(0, b, 1, [&](int64_t b0, int64_t b1) {
-      for (int64_t bb = b0; bb < b1; ++bb) {
-        float* mrow = mean + bb * d;
-        for (int64_t j = 0; j < d; ++j) {
-          float acc = 0.0f;
-          for (int64_t kk = 0; kk < K; ++kk) acc += ints[(bb * K + kk) * d + j];
-          mrow[j] = acc * (1.0f / static_cast<float>(K));
-        }
-      }
-    });
-    act = mean;
-    rows = b;
+  if (catalog_.quantized()) {
+    // Activation quantization stays serial: at most max_batch * K short
+    // rows, and a single scan keeps the saturation count free of atomics.
+    quant::RowQuantStats st;
+    quant::QuantizeRowsSymmetric(in.rows, b * in.group, d, act_q_.data(),
+                                 act_scale_.data(), &st);
+    if (st.saturated > 0 && obs::MetricsEnabled()) {
+      InferMetrics::Get().quant_act_saturated.Add(st.saturated);
+    }
+    in.rows = nullptr;
+    in.codes = act_q_.data();
+    in.code_scales = act_scale_.data();
   }
-  // Activation quantization stays serial: at most max_batch * K short rows,
-  // and a single scan keeps the saturation count free of atomics.
-  quant::RowQuantStats st;
-  quant::QuantizeRowsSymmetric(act, rows, d, act_q_.data(), act_scale_.data(),
-                               &st);
-  if (st.saturated > 0 && obs::MetricsEnabled()) {
-    InferMetrics::Get().quant_act_saturated.Add(st.saturated);
-  }
-  const int8_t* aq = act_q_.data();
-  const int8_t* cq = op.wq;
-  int32_t* acc = acc_q_.data();
-  const float* as = act_scale_.data();
-  const float* cs = op.wscale;
-  if (op.flag) {  // mean routing: fused dot + dequant, no int32 scratch pass
-    // Chunks are PAIRS of activation rows so the tile kernel can walk the
-    // catalog once per pair (each loaded catalog vector feeds two dot
-    // chains) and dequantize straight out of registers — the [V]-sized
-    // int32 row never touches memory at all. Cost per pair is two rows'
-    // worth of the fp32 op's per-row granularity.
-    runtime::ParallelFor(
-        0, (b + 1) / 2, runtime::GrainForCost(4 * d * V),
-        [&](int64_t p0, int64_t p1) {
-          const int64_t i0 = 2 * p0;
-          const int64_t i1 = std::min<int64_t>(b, 2 * p1);
-          simd::Int8DotDequantTile(aq + i0 * d, as + i0, i1 - i0, cq, cs,
-                                   dst + i0 * V, V, d, 0, V);
-        });
-    return;
-  }
-  runtime::ParallelFor(
-      0, rows, runtime::GrainForCost(2 * d * V), [&](int64_t r0, int64_t r1) {
-        for (int64_t r = r0; r < r1; ++r) {
-          simd::Int8DotRows(aq + r * d, cq, acc + r * V, d, 0, V);
-        }
-      });
-  // Max routing: dequant fused into the strict-> ascending-K max scan.
-  runtime::ParallelFor(
-      0, b * V, runtime::GrainForCost(4 * K), [&](int64_t i0, int64_t i1) {
-        for (int64_t i = i0; i < i1; ++i) {
-          const int64_t bb = i / V, vv = i % V;
-          float best = -std::numeric_limits<float>::infinity();
-          for (int64_t kk = 0; kk < K; ++kk) {
-            const int64_t r = bb * K + kk;
-            const float val =
-                (as[r] * cs[vv]) * static_cast<float>(acc[r * V + vv]);
-            if (val > best) best = val;
-          }
-          dst[i] = best;
-        }
-      });
+  return in;
 }
 
 }  // namespace missl::infer

@@ -15,9 +15,12 @@
 // shape, arena offset, fused weight pointer and plan-time constant (the
 // transposed interest-query blocks, the sigmoid of the fusion gate) is
 // resolved at compile time for a fixed geometry (max_batch, model max_len);
-// Run() then executes the list with zero Tensor construction, zero autograd
-// nodes and zero steady-state allocations — all intermediates live in one
-// pool-backed scratch arena sized at plan time.
+// Run() / RunTopK() then execute the list with zero Tensor construction,
+// zero autograd nodes and zero steady-state allocations — all intermediates
+// live in one pool-backed scratch arena whose offsets Compile assigns by
+// buffer liveness (committed only up to the largest batch run so far), and
+// the catalog is streamed once per batch from 32-item panels by the fused
+// catalog stage (infer/catalog.h).
 //
 // The bitwise contract: Run() produces scores bitwise identical to
 // MisslModel::ScoreAllItems on the same batch, on every SIMD tier at every
@@ -40,7 +43,9 @@
 #include <vector>
 
 #include "core/missl.h"
+#include "core/topk.h"
 #include "data/batch.h"
+#include "infer/catalog.h"
 #include "tensor/alloc.h"
 #include "tensor/tensor.h"
 #include "utils/status.h"
@@ -62,9 +67,9 @@ enum class OpKind : int {
   kGatedFuse,           ///< dst = src + src2 * scale (sigmoid gate folded in)
   kCommonPool,          ///< masked mean pool + last position (common interest)
   kBroadcastAddRow,     ///< dst[b,k,:] = src[b,k,:] + src2[b,:]
-  kCatalogScore,        ///< logits = interests x catalog; max/mean routing
-  kCatalogScoreQ,       ///< int8 catalog scoring: quantize activations,
-                        ///< int32 row-dots, fp32 dequant fused into routing
+  kCatalogScore,        ///< always last: prepares the catalog stage's input
+                        ///< (interest mean, int8 quantization), then the
+                        ///< fused panel stream scores or ranks the catalog
 };
 
 /// Fused activation epilogues applied per element after the bias add of a
@@ -72,11 +77,14 @@ enum class OpKind : int {
 enum class Activation : int { kNone = 0, kTanh, kGelu };
 
 /// One entry of the plan's buffer table. Buffers are float regions inside
-/// the single scratch arena, sized for max_batch rows at plan time; an op
-/// running a smaller batch b touches only the first b * per_b floats.
+/// the single scratch arena; a run of b rows places each at b * offset with
+/// b * per_b floats. Two buffers share arena bytes only if no op sees both
+/// live: `first_op` / `last_op` bound the ops that read or write the buffer.
 struct BufferSpec {
-  int64_t offset = 0;   ///< float offset into the arena
+  int64_t offset = 0;   ///< arena offset in floats per batch row: a run of
+                        ///< b rows finds the buffer at b * offset
   int64_t per_b = 0;    ///< floats per batch row
+  int32_t first_op = -1, last_op = -1;  ///< live range (op indices)
   std::string label;    ///< for ToString / debugging
 };
 
@@ -100,13 +108,10 @@ struct BufferSpec {
 ///   kGatedFuse:        scale = sigmoid(fusion_gate) plan constant.
 ///   kCommonPool:       src = encoded, dst = [d] pooled common interest.
 ///   kBroadcastAddRow:  src2 = [d] row added to each of the K interest rows.
-///   kCatalogScore:     w = catalog [d, V]; flag = mean routing; scratch =
-///                      logits ([K, V]) or interest mean ([d]).
-///   kCatalogScoreQ:    wq/wscale = item-major int8 catalog [V, d] + per-item
-///                      scales [V]; flag = mean routing; scratch = interest
-///                      mean ([d], mean routing only — the int32 accumulators
-///                      and int8 activation rows live in presized executor
-///                      members, not the float arena).
+///   kCatalogScore:     src = fused interests [K, d]; flag = mean routing;
+///                      scratch = interest mean ([d], mean routing only).
+///                      The catalog itself (fp32 panels or int8 rows) and
+///                      the int8 activation rows are executor members.
 struct Op {
   OpKind kind = OpKind::kLinear;
   std::string label;
@@ -115,8 +120,6 @@ struct Op {
   int32_t scratch = -1, scratch2 = -1;       ///< op-private scratch buffers
   std::vector<int32_t> srcs;                 ///< kAuxMean input list
   const float* w = nullptr;                  ///< primary weight / table
-  const int8_t* wq = nullptr;                ///< quantized catalog [V, d]
-  const float* wscale = nullptr;             ///< per-item fp32 scales [V]
   const float* w2 = nullptr;                 ///< secondary table (positions)
   const float* w3 = nullptr;                 ///< tertiary table (behaviors)
   const float* bias = nullptr;               ///< bias / recency table
@@ -134,8 +137,8 @@ struct Op {
 /// Compile-time options. The defaults reproduce the fp32 plan exactly.
 struct InferConfig {
   /// Quantize the catalog to symmetric per-item int8 at compile time and
-  /// emit kCatalogScoreQ instead of kCatalogScore. The int8 path is bitwise
-  /// deterministic across SIMD tiers and thread counts (integer
+  /// score int32 row-dots with an fp32 dequant epilogue. The int8 path is
+  /// bitwise deterministic across SIMD tiers and thread counts (integer
   /// accumulation), but its scores differ from fp32 by quantization error —
   /// accuracy is gated as a ranking-level NDCG@10/Recall@10 bound in
   /// tests/quant_test.cc, never as float equality.
@@ -155,17 +158,20 @@ struct QuantInfo {
 };
 
 /// A frozen MisslModel forward compiled to a static op plan. Thread-safety:
-/// Compile is safe anywhere; Run mutates the scratch arena, so at most one
-/// Run may execute at a time (RecoService calls it from the single
-/// dispatcher thread). The model and catalog tensors are kept alive by the
-/// executor (shared storage), so the executor may outlive the model object.
+/// Compile is safe anywhere; Run/RunTopK mutate the scratch arena, so at
+/// most one may execute at a time (RecoService calls RunTopK from the
+/// single dispatcher thread). The model parameters are kept alive by the
+/// executor (shared storage) and the catalog is copied into its panels, so
+/// the executor may outlive the model object and the catalog tensor.
 class PlannedExecutor {
  public:
   /// Compiles the serving forward of `model` (weights must already be
-  /// frozen/loaded) against `catalog` (the [d, V] PrecomputeCatalog matrix)
-  /// for batches of at most `max_batch` rows of exactly model.max_len()
-  /// positions. Returns nullptr with *status set on an unsupported
-  /// model/catalog combination; never allocates after it returns.
+  /// frozen/loaded) for batches of at most `max_batch` rows of exactly
+  /// model.max_len() positions. `catalog` is the [d, V] PrecomputeCatalog
+  /// matrix, or an undefined tensor to pack the catalog straight from the
+  /// model's [V, d] item table (what serving does: no transposed copy is
+  /// ever made). Returns nullptr with *status set on an unsupported
+  /// model/catalog combination; never allocates Storage after it returns.
   static std::unique_ptr<PlannedExecutor> Compile(const core::MisslModel& model,
                                                   const Tensor& catalog,
                                                   int64_t max_batch,
@@ -180,22 +186,36 @@ class PlannedExecutor {
                                                   Status* status);
 
   /// Executes the plan on `batch` and returns the [batch_size, num_items]
-  /// row-major score matrix, resident in the plan's arena (valid until the
-  /// next Run). Requires batch.max_len == the compiled max_len and
-  /// batch.batch_size <= max_batch. Performs no tensor allocation: the
-  /// allocator counters (tensor/alloc.h) are flat across calls, which
-  /// tests/infer_test.cc and bench_m1_alloc's churn gate both enforce.
+  /// row-major score matrix (valid until the next Run), written from the
+  /// same panel tiles RunTopK ranks. Requires batch.max_len == the compiled
+  /// max_len and batch.batch_size <= max_batch. The score buffer is
+  /// allocated on the first call only (serving never needs it); after that
+  /// Run performs no tensor allocation — the allocator counters
+  /// (tensor/alloc.h) are flat across calls, which tests/infer_test.cc
+  /// enforces.
   const float* Run(const data::Batch& batch);
+
+  /// The serving entry: executes the plan on `batch` and writes each row's
+  /// top requests[i].k items (excluding requests[i].exclude) best first
+  /// into out[i], for i < batch_size. Routing and ranking are fused into
+  /// the catalog stream, so no [batch_size, num_items] score row is ever
+  /// materialized; the lists equal core::TopKRow over Run()'s rows. Steady
+  /// state allocates no Storage (bench_m1_alloc gates it).
+  void RunTopK(const data::Batch& batch, const RankRequest* requests,
+               core::TopKList* out);
 
   int64_t num_ops() const { return static_cast<int64_t>(ops_.size()); }
   int64_t num_buffers() const { return static_cast<int64_t>(bufs_.size()); }
-  /// Bytes of the pooled scratch arena (all intermediate buffers).
+  /// Bytes of the pooled scratch arena at max_batch rows (all intermediate
+  /// buffers, packed by liveness). The arena is committed on demand: a
+  /// service that only ever sees small batches holds proportionally less.
   int64_t scratch_bytes() const {
-    return arena_.size() * static_cast<int64_t>(sizeof(float));
+    return max_batch_ * row_floats_ * static_cast<int64_t>(sizeof(float));
   }
   int64_t max_batch() const { return max_batch_; }
   int64_t max_len() const { return t_; }
   int64_t num_items() const { return num_items_; }
+  int64_t dim() const { return d_; }
   /// True when the plan scores through the int8 catalog tier.
   bool quantized() const { return qinfo_.enabled; }
   /// Catalog-quantization statistics (all zero when !quantized()).
@@ -211,10 +231,14 @@ class PlannedExecutor {
   // compile.cc helpers.
   int32_t NewBuffer(int64_t per_b, std::string label);
   const float* AddConstant(std::vector<float> values);
-  friend struct PlanBuilder;
+  /// Assigns arena offsets by liveness and checks the packing; returns a
+  /// non-OK status if two simultaneously live buffers would overlap.
+  Status PackArena();
 
   // execute.cc: op interpreters. Each replicates the exact float-op
   // sequence of the corresponding training-mode tensor ops.
+  /// Runs every op but the catalog stage and returns that stage's input.
+  CatalogInput Forward(const data::Batch& batch);
   void Execute(const Op& op, int64_t b);
   void ExecEmbedSum(const Op& op, int64_t b);
   void ExecBuildIncidence(const Op& op, int64_t b);
@@ -228,11 +252,10 @@ class PlannedExecutor {
   void ExecGatedFuse(const Op& op, int64_t b);
   void ExecCommonPool(const Op& op, int64_t b);
   void ExecBroadcastAddRow(const Op& op, int64_t b);
-  void ExecCatalogScore(const Op& op, int64_t b);
-  void ExecCatalogScoreQ(const Op& op, int64_t b);
+  CatalogInput PrepareCatalogInput(const Op& op, int64_t b);
 
   float* BufPtr(int32_t id) {
-    return arena_.data() + bufs_[static_cast<size_t>(id)].offset;
+    return arena_.data() + run_b_ * bufs_[static_cast<size_t>(id)].offset;
   }
 
   // Geometry, resolved at compile time.
@@ -248,23 +271,21 @@ class PlannedExecutor {
 
   std::vector<Op> ops_;
   std::vector<BufferSpec> bufs_;
-  int32_t scores_buf_ = -1;
   Storage arena_;  ///< one pooled allocation holding every buffer
+  int64_t row_floats_ = 0;  ///< arena floats per batch row
+  int64_t run_b_ = 0;       ///< batch rows of the current run
+  Storage scores_;  ///< Run()'s [max_batch, V] output, allocated on first use
 
-  const float* catalog_ = nullptr;
+  PanelCatalog catalog_;  ///< fp32 panels or int8 rows, packed at compile
   std::deque<std::vector<float>> constants_;  ///< plan-time derived weights
   std::vector<Tensor> keepalive_;  ///< shares ownership of referenced params
 
-  // Int8 catalog tier (InferConfig::quantize_catalog). The quantized
-  // catalog is repacked item-major so each item score is one contiguous
-  // int8 row-dot; the activation-side buffers are presized at compile so
-  // Run stays allocation-free (same rule as the integer id scratch below).
+  // Int8 catalog tier (InferConfig::quantize_catalog): the activation-side
+  // buffers are presized at compile so runs stay allocation-free (same rule
+  // as the integer id scratch below).
   QuantInfo qinfo_;
-  std::vector<int8_t> catalog_q_;      ///< [V, d] item-major int8 codes
-  std::vector<float> catalog_scale_;   ///< [V] per-item scales
   std::vector<int8_t> act_q_;          ///< per-run quantized activation rows
   std::vector<float> act_scale_;       ///< per-run activation row scales
-  std::vector<int32_t> acc_q_;         ///< per-run int32 dot accumulators
 
   // Per-run integer scratch (presized at compile; Run only overwrites).
   std::vector<int32_t> items_;  ///< effective merged items (ablation-masked)

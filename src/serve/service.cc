@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "core/missl.h"
-#include "core/recommend.h"
 #include "infer/plan.h"
 #include "nn/serialize.h"
 #include "obs/metrics.h"
@@ -26,8 +25,9 @@ struct ServeMetrics {
   obs::Histogram& queue_wait_ns;
   obs::Histogram& request_ns;
   // Per-request stage breakdown (docs/OBSERVABILITY.md): batch = wait for
-  // the coalescing window, score = batch build + model forward, rank =
-  // per-row top-K selection. The parse/queue/write stages live in the TCP
+  // the coalescing window, score = batch build + model forward + the fused
+  // catalog score/top-K pass, rank = 0 (folded into score; kept so the
+  // stage set stays stable). The parse/queue/write stages live in the TCP
   // front-end (serve/tcp_server.cc).
   obs::Histogram& stage_batch_ns;
   obs::Histogram& stage_score_ns;
@@ -48,10 +48,6 @@ struct ServeMetrics {
 };
 
 }  // namespace
-
-const char* ExecutorKindName(ExecutorKind k) {
-  return k == ExecutorKind::kPlanned ? "planned" : "graph";
-}
 
 const char* PrecisionName(Precision p) {
   return p == Precision::kInt8 ? "int8" : "fp32";
@@ -173,13 +169,6 @@ std::unique_ptr<RecoService> RecoService::Load(
         std::to_string(config.num_threads));
     return nullptr;
   }
-  if (config.precision == Precision::kInt8 &&
-      config.executor != ExecutorKind::kPlanned) {
-    *status = Status::InvalidArgument(
-        "Precision::kInt8 (--precision int8) requires the planned executor "
-        "(--executor planned); the graph path scores fp32 only");
-    return nullptr;
-  }
   *status = nn::LoadParametersForInference(model.get(), checkpoint_path);
   if (!status->ok()) return nullptr;
   // The batcher front-pads every query to config.max_len positions; if the
@@ -203,32 +192,25 @@ std::unique_ptr<RecoService> RecoService::Load(
   }
   std::unique_ptr<RecoService> svc(new RecoService(
       std::move(model), num_items, num_behaviors, config));
-  {
-    // Weights are frozen from here on, so the catalog matrix stays valid for
-    // the service lifetime.
-    NoGradGuard ng;
-    svc->catalog_ = svc->model_->PrecomputeCatalog();
+  // The plan compiler walks the concrete MISSL forward. Weights are frozen
+  // from here on; the catalog is packed straight from the item table, so
+  // no transposed copy ever coexists with the panels.
+  auto* missl = dynamic_cast<const core::MisslModel*>(svc->model_.get());
+  if (missl == nullptr) {
+    *status = Status::InvalidArgument(
+        "serving requires a MISSL model (the planned executor compiles its "
+        "forward), got '" + svc->model_->Name() + "'");
+    return nullptr;
   }
-  if (config.executor == ExecutorKind::kPlanned) {
-    // The plan compiler walks the concrete MISSL forward; other SeqRecModel
-    // implementations keep the graph path.
-    auto* missl = dynamic_cast<const core::MisslModel*>(svc->model_.get());
-    if (missl == nullptr) {
-      *status = Status::InvalidArgument(
-          "ExecutorKind::kPlanned requires a MISSL model, got '" +
-          svc->model_->Name() + "'");
-      return nullptr;
-    }
-    infer::InferConfig icfg;
-    icfg.quantize_catalog = config.precision == Precision::kInt8;
-    svc->planned_ = infer::PlannedExecutor::Compile(
-        *missl, svc->catalog_, config.max_batch, icfg, status);
-    if (svc->planned_ == nullptr) return nullptr;
-  }
+  infer::InferConfig icfg;
+  icfg.quantize_catalog = config.precision == Precision::kInt8;
+  svc->planned_ = infer::PlannedExecutor::Compile(
+      *missl, Tensor(), config.max_batch, icfg, status);
+  if (svc->planned_ == nullptr) return nullptr;
   int threads = config.num_threads > 0 ? config.num_threads
                                        : runtime::NumThreads();
   runtime::ThreadPool::Global().Prewarm(threads);
-  // Load-time work (parameter deserialization, catalog precompute) churns
+  // Load-time work (parameter deserialization, catalog packing) churns
   // through large one-off buffers; return them to the system so the
   // steady-state footprint reflects only what serving re-uses.
   alloc::Trim();
@@ -345,44 +327,36 @@ void RecoService::ProcessBatch(std::vector<Pending>* work) {
   for (const Pending& p : *work) queries.push_back(p.query);
   data::Batch batch =
       BuildQueryBatch(queries, config_.max_len, num_behaviors_);
-  // Both executors produce bitwise-identical [B, num_items] scores
-  // (docs/INFERENCE.md); the planned path returns a pointer into its own
-  // scratch arena instead of materializing a Tensor.
-  Tensor scores;
-  const float* score_data = nullptr;
-  if (planned_ != nullptr) {
-    score_data = planned_->Run(batch);
-  } else {
-    scores = model_->ScoreAllItems(batch, num_items_, catalog_);
-    score_data = scores.data();
-  }
-  int64_t scored_ns = obs::NowNanos();
-
-  std::vector<TopKResult> results(work->size());
-  std::vector<int32_t> sorted_excl;
+  // Exclusions are merge-walked against ascending item ids, so each list is
+  // sorted once here.
+  std::vector<std::vector<int32_t>> excl(work->size());
+  std::vector<infer::RankRequest> requests(work->size());
   for (size_t row = 0; row < work->size(); ++row) {
-    const Pending& p = (*work)[row];
-    const float* rs = score_data + static_cast<int64_t>(row) * num_items_;
-    const std::vector<int32_t>* excl = nullptr;
-    if (!p.query->exclude.empty()) {
-      sorted_excl = p.query->exclude;
-      std::sort(sorted_excl.begin(), sorted_excl.end());
-      excl = &sorted_excl;
-    }
-    core::TopKRow(rs, num_items_, excl, p.query->k, &results[row].items,
-                  &results[row].scores);
+    const Query& q = *(*work)[row].query;
+    excl[row] = q.exclude;
+    std::sort(excl[row].begin(), excl[row].end());
+    requests[row].k = q.k;
+    requests[row].exclude = excl[row].data();
+    requests[row].num_exclude = static_cast<int64_t>(excl[row].size());
   }
-  int64_t ranked_ns = obs::NowNanos();
+  // Scoring and ranking are one pass: the catalog stream feeds per-row
+  // bounded heaps directly (docs/INFERENCE.md), so the score stage covers
+  // both and the rank stage records zero.
+  std::vector<TopKResult> results(work->size());
+  planned_->RunTopK(batch, requests.data(), results.data());
+  const int64_t scored_ns = obs::NowNanos();
   // Observe the stage samples before resolving any future, so a client that
   // returns from TopK (and immediately scrapes /metrics) sees its own batch.
   for (size_t row = 0; row < work->size(); ++row) {
     metrics.stage_score_ns.Observe(scored_ns - start_ns);
-    metrics.stage_rank_ns.Observe(ranked_ns - scored_ns);
+    metrics.stage_rank_ns.Observe(0);
   }
   for (size_t row = 0; row < work->size(); ++row) {
     (*work)[row].promise.set_value(std::move(results[row]));
   }
 }
+
+int64_t RecoService::catalog_dim() const { return planned_->dim(); }
 
 int64_t RecoService::batches_run() const {
   std::lock_guard<std::mutex> l(mu_);

@@ -9,8 +9,9 @@
 //                                                  │ max_batch queries,
 //                                                  │ waiting max_wait_us
 //                                                  ▼
-//                                       one ScoreAllItems forward on the
-//                                       runtime pool + per-row TopKRow
+//                                       one planned-executor RunTopK:
+//                                       encoder forward, then one catalog
+//                                       stream fused with per-row top-K
 //                                                  │
 //   client threads ◄──std::future◄─────────────────┘
 //
@@ -32,6 +33,7 @@
 #include <vector>
 
 #include "core/model.h"
+#include "core/topk.h"
 #include "data/batch.h"
 #include "utils/status.h"
 
@@ -51,34 +53,23 @@ struct Query {
   int32_t k = 10;                   ///< list length to return
 };
 
-/// One answer: top-k items, best first, with their scores.
-struct TopKResult {
-  std::vector<int32_t> items;
-  std::vector<float> scores;
-};
-
-/// Which forward implementation scores coalesced batches.
-///   kGraph   — the training-mode tensor forward (autograd-capable ops under
-///              NoGradGuard); the reference path and bitwise oracle.
-///   kPlanned — the inference-only planned executor (src/infer/): the model
-///              is compiled once at Load into a static op plan running on
-///              pooled scratch, bitwise identical to kGraph by contract
-///              (docs/INFERENCE.md). Requires a MISSL model.
-enum class ExecutorKind { kGraph, kPlanned };
+/// One answer: top-k items, best first, with their scores (ranked by the
+/// total order of core/topk.h).
+using TopKResult = core::TopKList;
 
 /// Catalog-scoring precision.
-///   kFp32 — full-precision scoring; both executors, the bitwise oracle.
+///   kFp32 — full-precision scoring, bitwise equal to the offline
+///           core::RecommendTopN path.
 ///   kInt8 — the quantized catalog tier (docs/INFERENCE.md): the planned
 ///           executor quantizes the catalog to symmetric per-item int8 at
 ///           Load and scores through int32 maddubs dots with an fp32 dequant
 ///           epilogue. Deterministic across tiers/threads, but NOT bitwise
 ///           equal to fp32 — accuracy is a ranking-level bound
-///           (tests/quant_test.cc). Requires ExecutorKind::kPlanned.
+///           (tests/quant_test.cc).
 enum class Precision { kFp32, kInt8 };
 
-/// Stable display names ("graph"/"planned", "fp32"/"int8") used by /statusz
-/// and the missl_serve flag parser.
-const char* ExecutorKindName(ExecutorKind k);
+/// Stable display name ("fp32"/"int8") used by /statusz and the
+/// missl_serve flag parser.
 const char* PrecisionName(Precision p);
 
 /// Serving knobs. `max_len` must equal the history window the model was
@@ -88,8 +79,7 @@ struct ServeConfig {
   int32_t max_batch = 32;   ///< coalesce at most this many queries per forward
   int64_t max_wait_us = 2000;  ///< how long the batcher waits to fill a batch
   int num_threads = 0;      ///< forward-pass threads; 0 = runtime default
-  ExecutorKind executor = ExecutorKind::kGraph;  ///< see ExecutorKind
-  Precision precision = Precision::kFp32;        ///< see Precision
+  Precision precision = Precision::kFp32;  ///< see Precision
 };
 
 /// Thread-safe serving front-end around one frozen model. Construct via
@@ -97,9 +87,11 @@ struct ServeConfig {
 class RecoService {
  public:
   /// Loads `checkpoint_path` into `model` (nn::LoadParametersForInference:
-  /// eval mode, requires_grad off), precomputes the model's catalog scoring
-  /// matrix, prewarms the runtime pool, and starts the dispatcher. Returns
-  /// nullptr with `*status` set on load failure; `*status` is OK on success.
+  /// eval mode, requires_grad off), compiles the planned executor (the
+  /// catalog is packed straight from the item table), prewarms the runtime
+  /// pool, and starts the dispatcher. `model` must be a core::MisslModel.
+  /// Returns nullptr with `*status` set on load failure; `*status` is OK on
+  /// success.
   static std::unique_ptr<RecoService> Load(
       std::unique_ptr<core::SeqRecModel> model, int32_t num_items,
       int32_t num_behaviors, const std::string& checkpoint_path,
@@ -118,13 +110,11 @@ class RecoService {
   const core::SeqRecModel& model() const { return *model_; }
   int32_t num_items() const { return num_items_; }
   int32_t num_behaviors() const { return num_behaviors_; }
-  /// Embedding dimension of the precomputed catalog matrix ([d, num_items]).
-  int64_t catalog_dim() const {
-    return catalog_.shape().empty() ? 0 : catalog_.shape()[0];
-  }
+  /// Embedding dimension of the catalog.
+  int64_t catalog_dim() const;
   const ServeConfig& config() const { return config_; }
-  /// The compiled op plan when running with ExecutorKind::kPlanned; nullptr
-  /// on the graph path. Exposed for tests and introspection.
+  /// The compiled op plan every batch runs through. Exposed for tests and
+  /// introspection.
   const infer::PlannedExecutor* planned_executor() const {
     return planned_.get();
   }
@@ -149,8 +139,7 @@ class RecoService {
   int32_t num_items_;
   int32_t num_behaviors_;
   ServeConfig config_;
-  Tensor catalog_;  ///< PrecomputeCatalog() result, cached at load time
-  /// Static op plan (ExecutorKind::kPlanned only), compiled at Load.
+  /// Static op plan, compiled at Load; scores and ranks every batch.
   std::unique_ptr<infer::PlannedExecutor> planned_;
 
   mutable std::mutex mu_;

@@ -514,17 +514,20 @@ void TcpServer::AcceptAdminPending() {
 }
 
 void TcpServer::RefuseConnection(int fd, const std::string& reason) {
+  // Count the refusal before the peer can observe it: a client that has
+  // read the refusal line and EOF must already see it in
+  // connections_refused() and serve.tcp.refused.
+  {
+    std::lock_guard<std::mutex> l(mu_);
+    ++refused_;
+  }
+  TcpMetrics::Get().refused.Add(1);
   std::string line = ErrorToJson(-1, reason) + "\n";
   // Best effort: the socket buffer of a fresh connection always has room for
   // one short line, and a peer that vanished mid-refusal loses nothing.
   ssize_t ignored = ::send(fd, line.data(), line.size(), MSG_NOSIGNAL);
   (void)ignored;
   ::close(fd);
-  {
-    std::lock_guard<std::mutex> l(mu_);
-    ++refused_;
-  }
-  TcpMetrics::Get().refused.Add(1);
 }
 
 void TcpServer::HandleReadable(const std::shared_ptr<Conn>& conn) {
@@ -724,7 +727,6 @@ std::string TcpServer::StatuszJson() const {
      << ",\"max_batch\":" << sc.max_batch
      << ",\"max_wait_us\":" << sc.max_wait_us
      << ",\"num_threads\":" << sc.num_threads
-     << ",\"executor\":\"" << ExecutorKindName(sc.executor) << "\""
      << ",\"precision\":\"" << PrecisionName(sc.precision) << "\"}"
      << ",\"tcp_config\":{\"max_connections\":" << config_.max_connections
      << ",\"num_workers\":" << config_.num_workers

@@ -1,5 +1,6 @@
 #include "tensor/simd.h"
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <cstring>
@@ -17,6 +18,8 @@ namespace missl::simd {
 namespace avx2 {
 void GemmRows(const float* a, const float* b, float* c, int64_t k, int64_t n,
               int64_t r0, int64_t r1);
+void PanelGemm(const float* a, int64_t rows, const float* panel, int64_t k,
+               float* tile);
 void AxpyRow(float s, const float* x, float* y, int64_t n);
 void AddRow(const float* a, const float* b, float* o, int64_t n);
 void SubRow(const float* a, const float* b, float* o, int64_t n);
@@ -229,6 +232,12 @@ void GemmRows(const float* a, const float* b, float* c, int64_t k, int64_t n,
   }
 }
 
+void PanelGemm(const float* a, int64_t rows, const float* panel, int64_t k,
+               float* tile) {
+  std::fill(tile, tile + rows * kPanelWidth, 0.0f);
+  GemmRows(a, panel, tile, k, kPanelWidth, 0, rows);
+}
+
 void AxpyRow(float s, const float* x, float* y, int64_t n) {
   for (int64_t i = 0; i < n; ++i) y[i] += s * x[i];
 }
@@ -362,6 +371,11 @@ void Int8DotDequantTile(const int8_t* a, const float* act_scales, int64_t na,
 void GemmRows(const float* a, const float* b, float* c, int64_t k, int64_t n,
               int64_t r0, int64_t r1) {
   MISSL_SIMD_DISPATCH(GemmRows, a, b, c, k, n, r0, r1);
+}
+
+void PanelGemm(const float* a, int64_t rows, const float* panel, int64_t k,
+               float* tile) {
+  MISSL_SIMD_DISPATCH(PanelGemm, a, rows, panel, k, tile);
 }
 
 void AxpyRow(float s, const float* x, float* y, int64_t n) {

@@ -116,6 +116,19 @@ class ScopedTier {
 void GemmRows(const float* a, const float* b, float* c, int64_t k, int64_t n,
               int64_t r0, int64_t r1);
 
+/// Width of a catalog panel: PanelGemm's output tile has this many columns.
+inline constexpr int64_t kPanelWidth = 32;
+
+/// tile[r*32 + l] = sum over kk of a[r*k + kk] * panel[kk*32 + l] for rows
+/// r in [0, rows) and the 32 lanes l of one [k][32] panel (a 32-column slab
+/// of a [k, n] matrix, packed contiguously). Each cell replays GemmRows'
+/// sequence exactly — zero start, ascending kk, a rounded multiply then a
+/// rounded add per step, a == 0.0f terms skipped — so a tile equals the
+/// matching 32 columns of a zero-filled GemmRows output bitwise, on every
+/// tier. No alignment is assumed.
+void PanelGemm(const float* a, int64_t rows, const float* panel, int64_t k,
+               float* tile);
+
 /// y[j] += s * x[j]. The matmul dB accumulation row.
 void AxpyRow(float s, const float* x, float* y, int64_t n);
 

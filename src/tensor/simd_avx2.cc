@@ -282,6 +282,79 @@ void GemmRows(const float* a, const float* b, float* c, int64_t k, int64_t n,
   }
 }
 
+// One catalog panel against `rows` activation rows, two rows at a time:
+// the 32 output columns of a row pair live in eight ymm accumulators for the
+// whole k loop and each panel vector (an L1 hit — the panel is k * 128
+// bytes) feeds both rows. Per cell this is GemmRows' sequence — zero start,
+// ascending k, skip a == 0.0f, rounded multiply then rounded add — so the
+// tile is bitwise equal to the scalar tier and to GemmRows on the unpacked
+// [k, n] matrix.
+void PanelGemm(const float* a, int64_t rows, const float* panel, int64_t k,
+               float* tile) {
+  int64_t i = 0;
+  for (; i + 2 <= rows; i += 2) {
+    const float* arow0 = a + i * k;
+    const float* arow1 = arow0 + k;
+    __m256 p0 = _mm256_setzero_ps(), p1 = _mm256_setzero_ps();
+    __m256 p2 = _mm256_setzero_ps(), p3 = _mm256_setzero_ps();
+    __m256 q0 = _mm256_setzero_ps(), q1 = _mm256_setzero_ps();
+    __m256 q2 = _mm256_setzero_ps(), q3 = _mm256_setzero_ps();
+    for (int64_t t = 0; t < k; ++t) {
+      const float av0 = arow0[t];
+      const float av1 = arow1[t];
+      if (av0 == 0.0f && av1 == 0.0f) continue;
+      const float* bp = panel + t * 32;
+      const __m256 b0 = _mm256_loadu_ps(bp);
+      const __m256 b1 = _mm256_loadu_ps(bp + 8);
+      const __m256 b2 = _mm256_loadu_ps(bp + 16);
+      const __m256 b3 = _mm256_loadu_ps(bp + 24);
+      if (av0 != 0.0f) {
+        const __m256 avv = _mm256_set1_ps(av0);
+        p0 = _mm256_add_ps(p0, _mm256_mul_ps(avv, b0));
+        p1 = _mm256_add_ps(p1, _mm256_mul_ps(avv, b1));
+        p2 = _mm256_add_ps(p2, _mm256_mul_ps(avv, b2));
+        p3 = _mm256_add_ps(p3, _mm256_mul_ps(avv, b3));
+      }
+      if (av1 != 0.0f) {
+        const __m256 avv = _mm256_set1_ps(av1);
+        q0 = _mm256_add_ps(q0, _mm256_mul_ps(avv, b0));
+        q1 = _mm256_add_ps(q1, _mm256_mul_ps(avv, b1));
+        q2 = _mm256_add_ps(q2, _mm256_mul_ps(avv, b2));
+        q3 = _mm256_add_ps(q3, _mm256_mul_ps(avv, b3));
+      }
+    }
+    float* t0 = tile + i * 32;
+    _mm256_storeu_ps(t0, p0);
+    _mm256_storeu_ps(t0 + 8, p1);
+    _mm256_storeu_ps(t0 + 16, p2);
+    _mm256_storeu_ps(t0 + 24, p3);
+    _mm256_storeu_ps(t0 + 32, q0);
+    _mm256_storeu_ps(t0 + 40, q1);
+    _mm256_storeu_ps(t0 + 48, q2);
+    _mm256_storeu_ps(t0 + 56, q3);
+  }
+  if (i < rows) {
+    const float* arow = a + i * k;
+    __m256 p0 = _mm256_setzero_ps(), p1 = _mm256_setzero_ps();
+    __m256 p2 = _mm256_setzero_ps(), p3 = _mm256_setzero_ps();
+    for (int64_t t = 0; t < k; ++t) {
+      const float av = arow[t];
+      if (av == 0.0f) continue;
+      const float* bp = panel + t * 32;
+      const __m256 avv = _mm256_set1_ps(av);
+      p0 = _mm256_add_ps(p0, _mm256_mul_ps(avv, _mm256_loadu_ps(bp)));
+      p1 = _mm256_add_ps(p1, _mm256_mul_ps(avv, _mm256_loadu_ps(bp + 8)));
+      p2 = _mm256_add_ps(p2, _mm256_mul_ps(avv, _mm256_loadu_ps(bp + 16)));
+      p3 = _mm256_add_ps(p3, _mm256_mul_ps(avv, _mm256_loadu_ps(bp + 24)));
+    }
+    float* t0 = tile + i * 32;
+    _mm256_storeu_ps(t0, p0);
+    _mm256_storeu_ps(t0 + 8, p1);
+    _mm256_storeu_ps(t0 + 16, p2);
+    _mm256_storeu_ps(t0 + 24, p3);
+  }
+}
+
 namespace {
 template <bool kA>
 inline void AxpyRowImpl(float s, const float* x, float* y, int64_t n) {

@@ -4,9 +4,11 @@
 // training-mode MisslModel::ScoreAllItems forward — the graph path is the
 // oracle — across every SIMD tier x thread count, for every model
 // configuration the compiler supports. On top of that: plans are reusable
-// across batches of varying (smaller) sizes, steady-state Runs perform zero
-// allocator traffic, and the RecoService wiring serves bitwise-identical
-// top-K answers on either executor.
+// across batches of varying (smaller) sizes even though their arena reuses
+// bytes by liveness, the fused RunTopK path equals TopKRow over Run's
+// scores, steady-state runs perform zero allocator traffic, and the
+// RecoService wiring serves the offline RecommendTopN lists bitwise.
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <memory>
@@ -16,6 +18,7 @@
 #include <gtest/gtest.h>
 
 #include "core/missl.h"
+#include "core/recommend.h"
 #include "data/batch.h"
 #include "infer/plan.h"
 #include "nn/serialize.h"
@@ -191,6 +194,151 @@ TEST(PlannedExecutorTest, BitwiseParityDeepStack) {
   ExpectBitwiseParity(cfg, 4, 4);
 }
 
+/// Row `r` of `batch` as a batch of one.
+data::Batch SliceRow(const data::Batch& batch, int64_t r) {
+  data::Batch one = batch;
+  one.batch_size = 1;
+  auto slice = [&](std::vector<int32_t>* v) {
+    std::vector<int32_t> row(v->begin() + r * kMaxLen,
+                             v->begin() + (r + 1) * kMaxLen);
+    *v = std::move(row);
+  };
+  slice(&one.merged_items);
+  slice(&one.merged_behaviors);
+  slice(&one.merged_recency);
+  one.targets = {batch.targets[static_cast<size_t>(r)]};
+  one.target_behavior = {batch.target_behavior[static_cast<size_t>(r)]};
+  one.users = {0};
+  return one;
+}
+
+/// Arena-aliasing guard. The arena hands the same bytes to buffers whose
+/// live ranges do not intersect, so an op that read a buffer before fully
+/// writing it would see another buffer's (or an earlier, larger batch's)
+/// leftovers. Runs batches of max_batch, 1, then max_batch rows through ONE
+/// plan on every tier x {1, 2, 4} threads and checks each against an
+/// independent oracle: ScoreAllItems for fp32; for int8, a fresh
+/// max_batch = 1 plan (a different arena layout) run row by row. The fused
+/// RunTopK lists must equal TopKRow over the same oracle rows.
+void ExpectArenaReuseIsClean(const core::MisslConfig& cfg, bool quantize) {
+  constexpr int64_t kCap = 5;
+  auto model = MakeModel(cfg);
+  model->SetTraining(false);
+  Tensor catalog;
+  {
+    NoGradGuard ng;
+    catalog = model->PrecomputeCatalog();
+  }
+  infer::InferConfig icfg;
+  icfg.quantize_catalog = quantize;
+  Status status;
+  auto plan =
+      infer::PlannedExecutor::Compile(*model, catalog, kCap, icfg, &status);
+  ASSERT_TRUE(status.ok()) << status.ToString();
+  auto row_plan =
+      infer::PlannedExecutor::Compile(*model, catalog, 1, icfg, &status);
+  ASSERT_TRUE(status.ok()) << status.ToString();
+
+  std::vector<simd::Tier> tiers = {simd::Tier::kScalar};
+  if (simd::Avx2Available()) tiers.push_back(simd::Tier::kAvx2);
+  for (simd::Tier tier : tiers) {
+    simd::ScopedTier tier_guard(tier);
+    for (int threads : {1, 2, 4}) {
+      runtime::ScopedNumThreads thread_guard(threads);
+      for (int step = 0; step < 3; ++step) {
+        const int64_t b = step == 1 ? 1 : kCap;
+        data::Batch batch = MakeBatch(b, 100 + 10 * threads + step);
+        std::vector<float> want;
+        if (!quantize) {
+          NoGradGuard ng;
+          Tensor oracle = model->ScoreAllItems(batch, kItems, catalog);
+          want.assign(oracle.data(), oracle.data() + oracle.numel());
+        } else {
+          for (int64_t r = 0; r < b; ++r) {
+            const float* row = row_plan->Run(SliceRow(batch, r));
+            want.insert(want.end(), row, row + kItems);
+          }
+        }
+        const std::string where = std::string("tier=") +
+                                  simd::TierName(tier) +
+                                  " threads=" + std::to_string(threads) +
+                                  " step=" + std::to_string(step);
+        const float* got = plan->Run(batch);
+        for (int64_t i = 0; i < b * kItems; ++i) {
+          ASSERT_EQ(got[i], want[static_cast<size_t>(i)])
+              << where << " flat index " << i;
+        }
+        std::vector<std::vector<int32_t>> excl(static_cast<size_t>(b));
+        std::vector<infer::RankRequest> reqs(static_cast<size_t>(b));
+        for (int64_t r = 0; r < b; ++r) {
+          auto& e = excl[static_cast<size_t>(r)];
+          for (int64_t i = 0; i < kMaxLen; ++i) {
+            const int32_t id = batch.merged_items[static_cast<size_t>(
+                r * kMaxLen + i)];
+            if (id >= 0) e.push_back(id);
+          }
+          std::sort(e.begin(), e.end());
+          reqs[static_cast<size_t>(r)].k = r == 0 ? kItems + 3 : 5;
+          reqs[static_cast<size_t>(r)].exclude = e.data();
+          reqs[static_cast<size_t>(r)].num_exclude =
+              static_cast<int64_t>(e.size());
+        }
+        std::vector<core::TopKList> lists(static_cast<size_t>(b));
+        plan->RunTopK(batch, reqs.data(), lists.data());
+        for (int64_t r = 0; r < b; ++r) {
+          core::TopKList ref;
+          core::TopKRow(want.data() + r * kItems, kItems,
+                        &excl[static_cast<size_t>(r)],
+                        reqs[static_cast<size_t>(r)].k, &ref.items,
+                        &ref.scores);
+          ASSERT_EQ(lists[static_cast<size_t>(r)].items, ref.items)
+              << where << " row " << r;
+          ASSERT_EQ(lists[static_cast<size_t>(r)].scores, ref.scores)
+              << where << " row " << r;
+        }
+      }
+    }
+  }
+}
+
+TEST(PlannedExecutorTest, ArenaReuseIsCleanMaxRouting) {
+  ExpectArenaReuseIsClean(BaseConfig(), /*quantize=*/false);
+}
+
+TEST(PlannedExecutorTest, ArenaReuseIsCleanMeanRouting) {
+  core::MisslConfig cfg = BaseConfig();
+  cfg.routing = core::InterestRouting::kMean;
+  ExpectArenaReuseIsClean(cfg, /*quantize=*/false);
+}
+
+TEST(PlannedExecutorTest, ArenaReuseIsCleanInt8) {
+  ExpectArenaReuseIsClean(BaseConfig(), /*quantize=*/true);
+  core::MisslConfig cfg = BaseConfig();
+  cfg.routing = core::InterestRouting::kMean;
+  ExpectArenaReuseIsClean(cfg, /*quantize=*/true);
+}
+
+TEST(PlannedExecutorTest, ArenaIsPackedByLiveness) {
+  // A deeper stack adds buffers whose live ranges do not intersect the
+  // first layer's, so liveness packing reuses their bytes: the arena grows
+  // far less than the buffer table.
+  core::MisslConfig deep = BaseConfig();
+  deep.seq_layers = 3;
+  deep.hgat_layers = 3;
+  Status status;
+  auto shallow_model = MakeModel(BaseConfig());
+  auto deep_model = MakeModel(deep);
+  auto shallow = infer::PlannedExecutor::Compile(*shallow_model, Tensor(), 8,
+                                                 &status);
+  ASSERT_TRUE(status.ok()) << status.ToString();
+  auto deeper =
+      infer::PlannedExecutor::Compile(*deep_model, Tensor(), 8, &status);
+  ASSERT_TRUE(status.ok()) << status.ToString();
+  EXPECT_GT(deeper->num_buffers(), 2 * shallow->num_buffers() - 10);
+  EXPECT_LT(deeper->scratch_bytes(), shallow->scratch_bytes() * 5 / 4)
+      << shallow->ToString() << deeper->ToString();
+}
+
 TEST(PlannedExecutorTest, SteadyStateRunsAllocateNothing) {
   auto model = MakeModel(BaseConfig());
   model->SetTraining(false);
@@ -204,9 +352,17 @@ TEST(PlannedExecutorTest, SteadyStateRunsAllocateNothing) {
   ASSERT_TRUE(status.ok()) << status.ToString();
   data::Batch big = MakeBatch(8, 11);
   data::Batch small = MakeBatch(3, 12);
-  plan->Run(big);  // warmup (first-touch only; the arena exists already)
+  std::vector<infer::RankRequest> reqs(8);
+  std::vector<core::TopKList> lists(8);
+  // Warmup: Run allocates its score buffer on first use, and RunTopK grows
+  // its heap and tile scratch once.
+  plan->Run(big);
+  plan->RunTopK(big, reqs.data(), lists.data());
   alloc::AllocStats before = alloc::GetAllocStats();
-  for (int i = 0; i < 20; ++i) plan->Run(i % 2 == 0 ? big : small);
+  for (int i = 0; i < 20; ++i) {
+    plan->Run(i % 2 == 0 ? big : small);
+    plan->RunTopK(i % 2 == 0 ? big : small, reqs.data(), lists.data());
+  }
   alloc::AllocStats after = alloc::GetAllocStats();
   // Zero Storage traffic of ANY kind per steady-state Run: no pool churn,
   // no system allocations. This is the allocation half of the inference
@@ -235,10 +391,33 @@ TEST(PlannedExecutorTest, CompileValidatesInputs) {
                                             &status),
             nullptr);
   EXPECT_FALSE(status.ok());
-  // Undefined catalog.
-  EXPECT_EQ(infer::PlannedExecutor::Compile(*model, Tensor(), 4, &status),
-            nullptr);
-  EXPECT_FALSE(status.ok());
+}
+
+TEST(PlannedExecutorTest, UndefinedCatalogPacksFromItemTable) {
+  // An undefined catalog means "pack straight from the model's [V, d] item
+  // table" (the serving path: no transposed copy is made). It must score
+  // exactly like a plan compiled from the PrecomputeCatalog matrix.
+  auto model = MakeModel(BaseConfig());
+  model->SetTraining(false);
+  Tensor catalog;
+  {
+    NoGradGuard ng;
+    catalog = model->PrecomputeCatalog();
+  }
+  Status status;
+  auto from_table =
+      infer::PlannedExecutor::Compile(*model, Tensor(), 4, &status);
+  ASSERT_TRUE(status.ok()) << status.ToString();
+  auto from_catalog =
+      infer::PlannedExecutor::Compile(*model, catalog, 4, &status);
+  ASSERT_TRUE(status.ok()) << status.ToString();
+  data::Batch batch = MakeBatch(4, 31);
+  const float* ref = from_catalog->Run(batch);
+  std::vector<float> want(ref, ref + 4 * kItems);
+  const float* got = from_table->Run(batch);
+  for (int64_t i = 0; i < 4 * kItems; ++i) {
+    ASSERT_EQ(got[i], want[static_cast<size_t>(i)]) << "flat index " << i;
+  }
 }
 
 TEST(PlannedExecutorTest, PlanIntrospection) {
@@ -263,28 +442,19 @@ TEST(PlannedExecutorTest, PlanIntrospection) {
   EXPECT_NE(dump.find("interest_extract"), std::string::npos);
 }
 
-TEST(PlannedExecutorServiceTest, PlannedServiceMatchesGraphService) {
+TEST(PlannedExecutorServiceTest, ServiceMatchesOfflineRecommendTopN) {
   core::MisslConfig cfg = BaseConfig();
   auto saved = MakeModel(cfg);
   std::string path = ::testing::TempDir() + "/infer_planned_ckpt.bin";
   ASSERT_TRUE(nn::SaveParameters(*saved, path).ok());
 
-  serve::ServeConfig sc;
-  sc.max_len = kMaxLen;
-  sc.max_batch = 4;
-  sc.max_wait_us = 0;
-  Status status;
-  auto graph_svc = serve::RecoService::Load(MakeModel(cfg), kItems, kBehaviors,
-                                            path, sc, &status);
-  ASSERT_TRUE(status.ok()) << status.ToString();
-  sc.executor = serve::ExecutorKind::kPlanned;
-  auto planned_svc = serve::RecoService::Load(MakeModel(cfg), kItems,
-                                              kBehaviors, path, sc, &status);
-  ASSERT_TRUE(status.ok()) << status.ToString();
-  ASSERT_NE(planned_svc->planned_executor(), nullptr);
-  EXPECT_EQ(graph_svc->planned_executor(), nullptr);
-
+  // Offline reference first: the service's dispatcher sets the runtime
+  // thread count while it runs, so offline scoring must not overlap it.
+  auto offline = MakeModel(cfg);
+  ASSERT_TRUE(nn::LoadParameters(offline.get(), path).ok());
   Rng rng(5);
+  std::vector<serve::Query> queries;
+  std::vector<core::Recommendation> want;
   for (int round = 0; round < 12; ++round) {
     serve::Query q;
     int64_t len = 1 + static_cast<int64_t>(rng.UniformInt(2 * kMaxLen));
@@ -292,15 +462,29 @@ TEST(PlannedExecutorServiceTest, PlannedServiceMatchesGraphService) {
       q.items.push_back(static_cast<int32_t>(rng.UniformInt(kItems)));
       q.behaviors.push_back(static_cast<int32_t>(rng.UniformInt(kBehaviors)));
     }
+    q.exclude = q.items;  // unsorted, with repeats
     q.k = 7;
-    serve::TopKResult a, b;
-    ASSERT_TRUE(graph_svc->TopK(q, &a).ok());
-    ASSERT_TRUE(planned_svc->TopK(q, &b).ok());
-    ASSERT_EQ(a.items.size(), b.items.size());
-    for (size_t i = 0; i < a.items.size(); ++i) {
-      EXPECT_EQ(a.items[i], b.items[i]) << "rank " << i << " round " << round;
-      EXPECT_EQ(a.scores[i], b.scores[i]) << "rank " << i << " round " << round;
-    }
+    data::Batch batch = serve::BuildQueryBatch(std::vector<serve::Query>{q},
+                                               kMaxLen, kBehaviors);
+    want.push_back(core::RecommendTopN(offline.get(), batch, {q.exclude}, q.k,
+                                       kItems)[0]);
+    queries.push_back(std::move(q));
+  }
+
+  serve::ServeConfig sc;
+  sc.max_len = kMaxLen;
+  sc.max_batch = 4;
+  sc.max_wait_us = 0;
+  Status status;
+  auto svc = serve::RecoService::Load(MakeModel(cfg), kItems, kBehaviors,
+                                      path, sc, &status);
+  ASSERT_TRUE(status.ok()) << status.ToString();
+  ASSERT_NE(svc->planned_executor(), nullptr);
+  for (size_t i = 0; i < queries.size(); ++i) {
+    serve::TopKResult got;
+    ASSERT_TRUE(svc->TopK(queries[i], &got).ok());
+    ASSERT_EQ(got.items, want[i].items) << "query " << i;
+    ASSERT_EQ(got.scores, want[i].scores) << "query " << i;
   }
   std::remove(path.c_str());
 }
@@ -321,14 +505,13 @@ class StubModel : public core::SeqRecModel {
 };
 
 TEST(PlannedExecutorServiceTest, PlannedRejectsNonMisslModel) {
-  // kPlanned requires the concrete MISSL forward; Load must fail with a
-  // clear status instead of silently falling back to the graph path.
+  // Serving compiles the concrete MISSL forward; Load must fail with a
+  // clear status for any other model.
   std::string path = ::testing::TempDir() + "/infer_stub_ckpt.bin";
   StubModel saved;
   ASSERT_TRUE(nn::SaveParameters(saved, path).ok());
   serve::ServeConfig sc;
   sc.max_len = kMaxLen;
-  sc.executor = serve::ExecutorKind::kPlanned;
   Status status;
   auto svc = serve::RecoService::Load(std::make_unique<StubModel>(), kItems,
                                       kBehaviors, path, sc, &status);

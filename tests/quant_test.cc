@@ -564,24 +564,6 @@ TEST(QuantPlanTest, Int8RankingStaysCloseToFp32) {
 // Serving integration.
 // ---------------------------------------------------------------------------
 
-TEST(QuantServeTest, Int8RequiresPlannedExecutor) {
-  core::MisslConfig cfg = BaseConfig();
-  auto saved = MakeModel(cfg);
-  std::string path = ::testing::TempDir() + "/quant_reject_ckpt.bin";
-  ASSERT_TRUE(nn::SaveParameters(*saved, path).ok());
-  serve::ServeConfig sc;
-  sc.max_len = kMaxLen;
-  sc.precision = serve::Precision::kInt8;  // executor left at kGraph
-  Status status;
-  auto svc = serve::RecoService::Load(MakeModel(cfg), kItems, kBehaviors, path,
-                                      sc, &status);
-  EXPECT_EQ(svc, nullptr);
-  EXPECT_FALSE(status.ok());
-  EXPECT_NE(status.message().find("planned"), std::string::npos)
-      << status.ToString();
-  std::remove(path.c_str());
-}
-
 TEST(QuantServeTest, Int8ServiceMatchesOfflineInt8Plan) {
   // The serving property: coalescing must not change an int8 answer. Row
   // independence makes every sub-batch bitwise equal to the one-shot full
@@ -595,7 +577,6 @@ TEST(QuantServeTest, Int8ServiceMatchesOfflineInt8Plan) {
   sc.max_len = kMaxLen;
   sc.max_batch = 4;
   sc.max_wait_us = 0;
-  sc.executor = serve::ExecutorKind::kPlanned;
   sc.precision = serve::Precision::kInt8;
   Status status;
   auto svc = serve::RecoService::Load(MakeModel(cfg), kItems, kBehaviors, path,
