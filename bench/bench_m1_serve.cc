@@ -5,8 +5,11 @@
 // loopback sockets. Closed-loop rows sweep connection counts (concurrency =
 // offered load); the open-loop row replays a fixed-rate schedule at half the
 // measured closed-loop capacity, the regime where queueing delay shows up in
-// the tail. Server-side serve.* histogram percentiles are reported next to
-// the client-observed ones so queue wait vs network/syscall overhead can be
+// the tail; the pipelined row keeps bursts of kPipeDepth queries in flight
+// on each of kPipeConns connections, the traffic that must not be mistaken
+// for closed-loop callers by the batch window (docs/SERVING.md).
+// Server-side serve.* histogram percentiles are reported next to the
+// client-observed ones so queue wait vs network/syscall overhead can be
 // told apart. All rows land in BENCH_bench_m1_serve.json via
 // MISSL_BENCH_JSON_DIR (docs/OBSERVABILITY.md).
 //
@@ -21,6 +24,11 @@
 // requests against a real socket server, exit non-zero if any request
 // errors, goes unanswered, the serve.* instrumentation misses requests, or
 // the admin plane (/metrics /healthz /tracez) serves malformed output.
+// Three gates check the batch-window mechanism rather than machine speed: at
+// one closed-loop connection the window closes early (mean batch stage under
+// max_wait_us / 4), at four the batcher still coalesces (MeanBatch at least
+// 2), and a pipelined burst is never split (MeanBatch at least
+// kPipeDepth).
 #include <unistd.h>
 
 #include <cstdio>
@@ -73,6 +81,8 @@ int main(int argc, char** argv) {
   const int64_t kRequests = smoke ? 240 : 4000;
   const std::vector<int> kClosedConns = smoke ? std::vector<int>{1, 4}
                                               : std::vector<int>{1, 4, 16};
+  const int kPipeConns = 2;
+  const int kPipeDepth = 4;
 
   obs::SetMetricsEnabled(true);
 
@@ -146,7 +156,7 @@ int main(int argc, char** argv) {
   };
 
   auto run_row = [&](const std::string& mode, int conns, double target_qps,
-                     RowResult* row) -> bool {
+                     int depth, RowResult* row) -> bool {
     // Per-row metric window so server-side percentiles describe this row
     // only (names stay registered; see obs/metrics.h).
     reg.ResetAll();
@@ -156,6 +166,7 @@ int main(int argc, char** argv) {
     lg.port = server->port();
     lg.connections = conns;
     lg.target_qps = target_qps;
+    lg.pipeline_depth = depth;
     lg.total_requests = kRequests;
     lg.seed = 20240809 + static_cast<uint64_t>(conns);
     lg.num_items = kItems;
@@ -214,7 +225,7 @@ int main(int argc, char** argv) {
   double closed_capacity = 0;
   for (int conns : kClosedConns) {
     RowResult row;
-    all_ok = run_row("closed", conns, 0, &row) && all_ok;
+    all_ok = run_row("closed", conns, 0, 1, &row) && all_ok;
     closed_capacity = std::max(closed_capacity, row.load.achieved_qps);
     rows.push_back(row);
   }
@@ -223,7 +234,12 @@ int main(int argc, char** argv) {
     // this runs on, yet high enough that batching and queueing engage.
     double target = std::max(50.0, 0.5 * closed_capacity);
     RowResult row;
-    all_ok = run_row("open", kClosedConns.back(), target, &row) && all_ok;
+    all_ok = run_row("open", kClosedConns.back(), target, 1, &row) && all_ok;
+    rows.push_back(row);
+  }
+  {
+    RowResult row;
+    all_ok = run_row("pipelined", kPipeConns, 0, kPipeDepth, &row) && all_ok;
     rows.push_back(row);
   }
 
@@ -251,11 +267,53 @@ int main(int argc, char** argv) {
   table.Print();
   std::printf(
       "Expected shape: closed-loop QPS grows with connections as the "
-      "micro-batcher coalesces (MeanBatch > 1 past 1 conn); the open-loop "
-      "row holds its target with p99 well under the closed-loop ceiling. "
+      "micro-batcher coalesces (MeanBatch near the connection count past 1 "
+      "conn: the batch leaves once every open connection has a query "
+      "queued, so at 1 conn it never waits out the %lld us window); the "
+      "open-loop row holds its target with p99 well under the closed-loop "
+      "ceiling (once a connection has two queries outstanding it counts as "
+      "%d callers, the worker count, so its batches fill as in a plain "
+      "timed window). The pipelined row (%d conns x %d in flight) never "
+      "splits a burst: MeanBatch is at least %d. "
       "SrvP*us are log2-bucket upper bounds of serve.request_ns — queue + "
       "model time; the client-observed gap on top is loopback + epoll "
-      "overhead.\n");
+      "overhead.\n",
+      static_cast<long long>(scfg.max_wait_us), tcfg.num_workers, kPipeConns,
+      kPipeDepth, kPipeDepth);
+
+  // Batch-window mechanism gates (independent of machine speed).
+  for (const auto& row : rows) {
+    if (row.mode == "pipelined" && row.srv_mean_batch < kPipeDepth) {
+      std::fprintf(stderr,
+                   "FAIL: pipelined %d conns: MeanBatch %.2f < %d (a "
+                   "pipelined burst was split across batches)\n",
+                   row.conns, row.srv_mean_batch, kPipeDepth);
+      all_ok = false;
+    }
+    if (row.mode != "closed") continue;
+    if (row.conns == 1) {
+      auto it = row.stages.find("batch");
+      const double mean_us =
+          it == row.stages.end() || it->second.count == 0
+              ? 0.0
+              : static_cast<double>(it->second.sum) /
+                    static_cast<double>(it->second.count) / 1000.0;
+      if (mean_us >= static_cast<double>(scfg.max_wait_us) / 4) {
+        std::fprintf(stderr,
+                     "FAIL: closed 1 conn: mean batch stage %.1f us >= "
+                     "max_wait_us/4 = %lld us (the window did not close "
+                     "early)\n",
+                     mean_us, static_cast<long long>(scfg.max_wait_us / 4));
+        all_ok = false;
+      }
+    } else if (row.conns == 4 && row.srv_mean_batch < 2.0) {
+      std::fprintf(stderr,
+                   "FAIL: closed 4 conns: MeanBatch %.2f < 2 (the batcher "
+                   "stopped coalescing)\n",
+                   row.srv_mean_batch);
+      all_ok = false;
+    }
+  }
 
   // Per-stage breakdown, scraped over the admin endpoint: each row is one
   // stage of one load row, diffed between the row's two /metrics scrapes.
@@ -283,8 +341,11 @@ int main(int argc, char** argv) {
   std::printf(
       "Stage rows are server-side serve.stage.* deltas per load row "
       "(parse -> queue -> batch -> score -> rank -> write); P*us are "
-      "log2-bucket upper bounds, MeanUs is exact. queue+batch dominate "
-      "under light load (the micro-batch window), score under saturation.\n");
+      "log2-bucket upper bounds, MeanUs is exact. batch is the time a "
+      "request waits for its batch to close: near zero for closed-loop "
+      "rows, up to the window for the open-loop row and for pipelined "
+      "bursts that leave workers idle; score dominates under "
+      "saturation.\n");
 
   // Admin-plane smoke: the remaining endpoints must answer well-formed
   // while the server is still up — this is the CI gate's view of /healthz
@@ -309,7 +370,8 @@ int main(int argc, char** argv) {
   server->Shutdown();
   if (!all_ok) {
     std::fprintf(stderr, "FAIL: at least one load row lost or errored "
-                         "requests (see above)\n");
+                         "requests or missed a batch-window gate (see "
+                         "above)\n");
     return 1;
   }
   return 0;

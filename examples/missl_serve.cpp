@@ -38,11 +38,14 @@
 //                            both listeners are bound (for scripts driving
 //                            ephemeral ports)
 //   --workers N              TCP mode: worker threads blocking in the
-//                            micro-batcher (default 4)
+//                            micro-batcher (default 4); caps the callers
+//                            the batch window waits for
 //   --max-conns N            TCP mode: connection limit (default 256)
 //   --clients N              concurrent client threads (default 4)
 //   --batch N                micro-batcher max batch size (default 8)
-//   --wait-us N              micro-batcher max wait in us (default 2000)
+//   --wait-us N              upper bound on the micro-batch window in us
+//                            (default 2000); closes early once every
+//                            caller has a query queued
 //   --precision P            catalog-scoring precision: "fp32" (default) or
 //                            "int8" (quantized catalog tier —
 //                            docs/INFERENCE.md)
@@ -69,6 +72,7 @@
 #include <fstream>
 #include <iostream>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -119,14 +123,21 @@ TCP mode:
                            listeners are bound (for scripts driving
                            ephemeral ports)
   --workers N              worker threads blocking in the micro-batcher
-                           (default 4)
+                           (default 4); also caps how many queries the
+                           batch window waits for (see --wait-us)
   --max-conns N            connection limit (default 256)
 
 Scoring (every batch runs through the compiled planned executor,
 src/infer/: encoder forward, then one pass over the catalog that scores and
 ranks together; docs/INFERENCE.md):
   --batch N                micro-batcher max batch size (default 8)
-  --wait-us N              micro-batcher max wait in us (default 2000)
+  --wait-us N              upper bound on the micro-batch window in us
+                           (default 2000). The window closes earlier once
+                           every possible caller has a query queued: each
+                           open query connection, capped at --workers, in
+                           TCP mode (--workers outright once a connection
+                           pipelines); each running client thread
+                           otherwise.
   --precision P            catalog-scoring precision: "fp32" (default;
                            bitwise equal to offline RecommendTopN) or "int8"
                            (symmetric per-item quantized catalog with int32
@@ -408,10 +419,16 @@ int main(int argc, char** argv) {
                queries.size(), serve::PrecisionName(opt.precision));
 
   // Fan the queries out over the client threads (query i -> thread i mod C)
-  // and collect answers by index so output order matches input order.
+  // and collect answers by index so output order matches input order. Each
+  // thread is a closed-loop caller, so the service is told how many are
+  // still running: the batch window closes once each has a query queued,
+  // and the last batches do not wait it out.
   std::vector<serve::TopKResult> results(queries.size());
   std::vector<Status> statuses(queries.size());
   std::atomic<bool> ok{true};
+  int still_running = opt.clients;
+  std::mutex running_mu;
+  service->SetCallers(opt.clients);
   std::vector<std::thread> clients;
   clients.reserve(static_cast<size_t>(opt.clients));
   for (int t = 0; t < opt.clients; ++t) {
@@ -421,6 +438,9 @@ int main(int argc, char** argv) {
         statuses[i] = service->TopK(queries[i].query, &results[i]);
         if (!statuses[i].ok()) ok.store(false);
       }
+      // Under one lock, so a stale higher count never lands last.
+      std::lock_guard<std::mutex> l(running_mu);
+      service->SetCallers(--still_running);
     });
   }
   for (auto& c : clients) c.join();

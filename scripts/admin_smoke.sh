@@ -109,7 +109,8 @@ grep -q '_bucket{le="+Inf"}' <<< "$metrics" || { echo "admin_smoke: /metrics mis
 echo "admin_smoke: /statusz"
 # Valid JSON, and it must report the precision the server was launched with
 # plus the int8 catalog stats (docs/INFERENCE.md): quantization enabled, sane
-# per-row scales, and the ~4x catalog memory saving.
+# per-row scales, and the ~4x catalog memory saving. The smoke checkpoint is
+# finite, so the one answered list holds no non-finite score.
 fetch "$base/statusz" | python3 -c '
 import json, sys
 s = json.load(sys.stdin)
@@ -119,6 +120,8 @@ q = s["quant"]
 assert q["enabled"] is True, q
 assert 0 < q["min_scale"] <= q["max_scale"], q
 assert q["int8_bytes"] < q["fp32_bytes"], q
+assert s["requests_served"] >= 1, s
+assert s["nonfinite_scores"] == 0, s["nonfinite_scores"]
 '
 
 echo "admin_smoke: /tracez"

@@ -5,7 +5,9 @@
 #      bitwise)
 #   2. ASan+UBSan build + full ctest suite
 #   3. TSan build, running the threaded tests (runtime_test, models_test,
-#      serve_test — the serving micro-batcher must stay race-free —
+#      serve_test — the serving micro-batcher must stay race-free, and a
+#      live service must never touch the thread count offline scoring on
+#      another thread reads —
 #      tcp_server_test — every epoll-thread/worker handoff in the TCP
 #      front-end over real sockets, now including the admin HTTP plane —
 #      exposition_test, which scrapes the metrics registry and the flight

@@ -51,17 +51,19 @@ void ParallelFor(int64_t begin, int64_t end, int64_t grain,
   }
   // Pool workers run with gradient recording in whatever state the
   // dispatching thread had (so evaluation under NoGradGuard stays
-  // graph-free when fanned out).
+  // graph-free when fanned out), and see its thread count.
   const bool grad_mode = GradEnabled();
   const std::function<void(int64_t)> chunk_fn = [&](int64_t c) {
-    bool prev_grad = internal::ExchangeGradEnabled(grad_mode);
+    bool prev_grad = missl::internal::ExchangeGradEnabled(grad_mode);
+    int prev_threads = internal::ExchangeThreadOverride(threads);
     bool prev_region = t_in_parallel_region;
     t_in_parallel_region = true;
     int64_t b = begin + c * grain;
     int64_t e = std::min(end, b + grain);
     fn(b, e);
     t_in_parallel_region = prev_region;
-    internal::ExchangeGradEnabled(prev_grad);
+    internal::ExchangeThreadOverride(prev_threads);
+    missl::internal::ExchangeGradEnabled(prev_grad);
   };
   int participants = static_cast<int>(
       std::min<int64_t>(static_cast<int64_t>(threads), nchunks));

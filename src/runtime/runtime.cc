@@ -1,5 +1,6 @@
 #include "runtime/runtime.h"
 
+#include <atomic>
 #include <cstdlib>
 #include <cstring>
 #include <thread>
@@ -19,25 +20,40 @@ int ResolveDefault() {
   return n < 1 ? 1 : n;
 }
 
-RuntimeConfig& MutableConfig() {
-  static RuntimeConfig config{ResolveDefault()};
-  return config;
+std::atomic<int>& GlobalThreads() {
+  static std::atomic<int> threads{ResolveDefault()};
+  return threads;
 }
+
+// This thread's ScopedNumThreads override; 0 = none, read the global.
+thread_local int t_override = 0;
 
 }  // namespace
 
-const RuntimeConfig& Config() { return MutableConfig(); }
-
-int NumThreads() { return MutableConfig().num_threads; }
+int NumThreads() {
+  return t_override > 0 ? t_override
+                        : GlobalThreads().load(std::memory_order_relaxed);
+}
 
 void SetNumThreads(int n) {
-  MutableConfig().num_threads = n < 1 ? ResolveDefault() : n;
+  GlobalThreads().store(n < 1 ? ResolveDefault() : n,
+                        std::memory_order_relaxed);
 }
 
-ScopedNumThreads::ScopedNumThreads(int n) : prev_(NumThreads()) {
-  SetNumThreads(n);
+ScopedNumThreads::ScopedNumThreads(int n) : prev_(t_override) {
+  t_override = n < 1 ? ResolveDefault() : n;
 }
 
-ScopedNumThreads::~ScopedNumThreads() { MutableConfig().num_threads = prev_; }
+ScopedNumThreads::~ScopedNumThreads() { t_override = prev_; }
+
+namespace internal {
+
+int ExchangeThreadOverride(int n) {
+  int prev = t_override;
+  t_override = n;
+  return prev;
+}
+
+}  // namespace internal
 
 }  // namespace missl::runtime

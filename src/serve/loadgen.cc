@@ -140,33 +140,50 @@ Status SendAll(int fd, const std::string& data) {
   return Status::OK();
 }
 
-// Closed loop: one request outstanding per connection at all times.
-void RunClosedLoop(ConnRun* run, PeakCounter* in_flight) {
-  std::string buf, line;
-  for (size_t i = 0; i < run->lines.size(); ++i) {
+// Closed loop: each connection writes `depth` requests in one send (a
+// single outstanding request when depth is 1), reads every answer, then
+// writes the next burst. Pipelined answers may arrive in any order.
+void RunClosedLoop(ConnRun* run, PeakCounter* in_flight, int depth) {
+  std::string buf, line, burst;
+  std::vector<bool> answered;
+  for (size_t first = 0; first < run->lines.size();
+       first += static_cast<size_t>(depth)) {
+    const size_t end =
+        std::min(run->lines.size(), first + static_cast<size_t>(depth));
+    burst.clear();
+    for (size_t i = first; i < end; ++i) {
+      if (end - first > 1) burst += run->lines[i];
+      in_flight->Up();
+    }
     int64_t t0 = obs::NowNanos();
-    in_flight->Up();
-    run->status = SendAll(run->fd, run->lines[i]);
-    if (run->status.ok()) run->status = ReadLine(run->fd, &buf, &line);
-    in_flight->Down();
-    if (!run->status.ok()) return;
-    run->latencies_ns.push_back(obs::NowNanos() - t0);
-    int64_t id = 0;
-    bool is_error = false;
-    if (!ParseResponseLine(line, &id, &is_error)) {
-      run->status = Status::Corruption("unparseable response: " + line);
-      return;
-    }
-    if (id != run->ids[i]) {
-      run->status = Status::Corruption(
-          "response id " + std::to_string(id) + " does not match request id " +
-          std::to_string(run->ids[i]) + " (closed loop is strictly ordered)");
-      return;
-    }
-    if (is_error) {
-      ++run->errors;
-    } else {
-      ++run->ok;
+    run->status = SendAll(run->fd, end - first > 1 ? burst : run->lines[first]);
+    answered.assign(end - first, false);
+    for (size_t got = first; got < end; ++got) {
+      if (run->status.ok()) run->status = ReadLine(run->fd, &buf, &line);
+      in_flight->Down();
+      if (!run->status.ok()) return;
+      run->latencies_ns.push_back(obs::NowNanos() - t0);
+      int64_t id = 0;
+      bool is_error = false;
+      if (!ParseResponseLine(line, &id, &is_error)) {
+        run->status = Status::Corruption("unparseable response: " + line);
+        return;
+      }
+      size_t slot = first;
+      while (slot < end && run->ids[slot] != id) ++slot;
+      if (slot == end || answered[slot - first]) {
+        run->status = Status::Corruption(
+            "response id " + std::to_string(id) +
+            " does not match an unanswered request of the burst starting at "
+            "id " + std::to_string(run->ids[first]));
+        return;
+      }
+      answered[slot - first] = true;
+      if (is_error) {
+        ++run->errors;
+      } else {
+        ++run->ok;
+      }
     }
   }
 }
@@ -318,6 +335,11 @@ Status RunLoadGen(const LoadGenConfig& config, LoadGenResult* out) {
   if (config.target_qps < 0) {
     return Status::InvalidArgument("LoadGenConfig.target_qps must be >= 0");
   }
+  if (config.pipeline_depth < 1 ||
+      (config.pipeline_depth > 1 && config.target_qps > 0)) {
+    return Status::InvalidArgument(
+        "LoadGenConfig.pipeline_depth must be >= 1, and 1 in open loop");
+  }
 
   const int conns = config.connections;
   std::vector<ConnRun> runs(static_cast<size_t>(conns));
@@ -361,7 +383,7 @@ Status RunLoadGen(const LoadGenConfig& config, LoadGenResult* out) {
       if (config.target_qps > 0) {
         RunOpenLoop(run, &in_flight, conn_qps, config.recv_timeout_ms);
       } else {
-        RunClosedLoop(run, &in_flight);
+        RunClosedLoop(run, &in_flight, config.pipeline_depth);
       }
     });
   }

@@ -9,7 +9,9 @@
 //   closed loop (target_qps == 0): every connection keeps exactly one
 //     request outstanding — send, block for the answer, repeat. Offered
 //     load adapts to the server; concurrency is bounded by `connections`
-//     (tests/loadgen_test.cc locks that bound).
+//     (tests/loadgen_test.cc locks that bound). With pipeline_depth > 1
+//     each connection instead writes that many requests at once and awaits
+//     all their answers before the next burst.
 //   open loop (target_qps > 0): each connection sends on a fixed schedule
 //     (target_qps / connections each) regardless of response progress, the
 //     regime where queueing delay becomes visible in p99/p999.
@@ -40,6 +42,8 @@ struct LoadGenConfig {
   int port = 0;               ///< required: the server's bound port
   int connections = 4;        ///< concurrent client connections
   double target_qps = 0;      ///< aggregate send rate; 0 = closed loop
+  /// Closed loop only: requests each connection pipelines per burst.
+  int pipeline_depth = 1;
   int64_t total_requests = 1000;  ///< across all connections
   uint64_t seed = 1;          ///< query-mix seed (deterministic per seed)
 

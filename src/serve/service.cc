@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <utility>
 
 #include "core/missl.h"
@@ -21,13 +22,14 @@ namespace {
 struct ServeMetrics {
   obs::Counter& requests;
   obs::Counter& batches;
+  obs::Counter& nonfinite_scores;
   obs::Histogram& batch_size;
   obs::Histogram& queue_wait_ns;
   obs::Histogram& request_ns;
   // Per-request stage breakdown (docs/OBSERVABILITY.md): batch = wait for
-  // the coalescing window, score = batch build + model forward + the fused
-  // catalog score/top-K pass, rank = 0 (folded into score; kept so the
-  // stage set stays stable). The parse/queue/write stages live in the TCP
+  // the coalescing window to close, score = batch build + model forward +
+  // the fused catalog score/top-K pass, rank = 0 (folded into score; kept
+  // so the stage set stays stable). The parse/queue/write stages live in the TCP
   // front-end (serve/tcp_server.cc).
   obs::Histogram& stage_batch_ns;
   obs::Histogram& stage_score_ns;
@@ -37,6 +39,7 @@ struct ServeMetrics {
     auto& reg = obs::MetricsRegistry::Global();
     static ServeMetrics m{reg.GetCounter("serve.requests"),
                           reg.GetCounter("serve.batches"),
+                          reg.GetCounter("serve.nonfinite_scores"),
                           reg.GetHistogram("serve.batch_size"),
                           reg.GetHistogram("serve.queue_wait_ns"),
                           reg.GetHistogram("serve.request_ns"),
@@ -207,9 +210,11 @@ std::unique_ptr<RecoService> RecoService::Load(
   svc->planned_ = infer::PlannedExecutor::Compile(
       *missl, Tensor(), config.max_batch, icfg, status);
   if (svc->planned_ == nullptr) return nullptr;
-  int threads = config.num_threads > 0 ? config.num_threads
-                                       : runtime::NumThreads();
-  runtime::ThreadPool::Global().Prewarm(threads);
+  // Resolved here, on the loading thread: the dispatcher pins its own
+  // (thread-local) count to this for every batch.
+  svc->num_threads_ = config.num_threads > 0 ? config.num_threads
+                                             : runtime::NumThreads();
+  runtime::ThreadPool::Global().Prewarm(svc->num_threads_);
   // Load-time work (parameter deserialization, catalog packing) churns
   // through large one-off buffers; return them to the system so the
   // steady-state footprint reflects only what serving re-uses.
@@ -262,28 +267,40 @@ Status RecoService::TopK(const Query& query, TopKResult* out) {
   return Status::OK();
 }
 
+void RecoService::SetCallers(int callers) {
+  {
+    std::lock_guard<std::mutex> l(mu_);
+    callers_ = std::max(0, callers);
+  }
+  cv_.notify_all();
+}
+
 void RecoService::DispatcherLoop() {
   // The whole serving path is inference-only; the guard (inherited by pool
   // workers, see runtime/parallel_for.h) makes that structural.
   NoGradGuard ng;
   ServeMetrics& metrics = ServeMetrics::Get();
   std::unique_lock<std::mutex> l(mu_);
+  // The batch is complete once it is full, or once every declared caller
+  // has a query queued: a closed-loop caller cannot send again before it
+  // is answered, so no further query can join.
+  auto complete = [&] {
+    const int64_t queued = static_cast<int64_t>(queue_.size());
+    return stop_ || queued >= config_.max_batch ||
+           (callers_ > 0 && queued >= callers_);
+  };
   for (;;) {
     cv_.wait(l, [&] { return stop_ || !queue_.empty(); });
     if (queue_.empty()) {
       if (stop_) return;  // drained: only exit once no work remains
       continue;
     }
-    if (static_cast<int32_t>(queue_.size()) < config_.max_batch &&
-        config_.max_wait_us > 0 && !stop_) {
+    if (config_.max_wait_us > 0 && !complete()) {
       // Hold the batch open briefly so concurrent callers coalesce into one
       // forward instead of paying a model pass each.
       auto deadline = std::chrono::steady_clock::now() +
                       std::chrono::microseconds(config_.max_wait_us);
-      cv_.wait_until(l, deadline, [&] {
-        return stop_ ||
-               static_cast<int32_t>(queue_.size()) >= config_.max_batch;
-      });
+      cv_.wait_until(l, deadline, complete);
     }
     size_t take = std::min<size_t>(queue_.size(),
                                    static_cast<size_t>(config_.max_batch));
@@ -320,8 +337,7 @@ void RecoService::ProcessBatch(std::vector<Pending>* work) {
           ? "{\"size\":" + std::to_string(work->size()) + "}"
           : std::string());
 
-  runtime::ScopedNumThreads threads_override(
-      config_.num_threads > 0 ? config_.num_threads : runtime::NumThreads());
+  runtime::ScopedNumThreads threads_override(num_threads_);
   std::vector<const Query*> queries;
   queries.reserve(work->size());
   for (const Pending& p : *work) queries.push_back(p.query);
@@ -345,11 +361,23 @@ void RecoService::ProcessBatch(std::vector<Pending>* work) {
   std::vector<TopKResult> results(work->size());
   planned_->RunTopK(batch, requests.data(), results.data());
   const int64_t scored_ns = obs::NowNanos();
-  // Observe the stage samples before resolving any future, so a client that
-  // returns from TopK (and immediately scrapes /metrics) sees its own batch.
+  // Model health: O(k) per row over the answered lists, where NaNs rank
+  // last (core/topk.h).
+  int64_t nonfinite = 0;
+  for (const TopKResult& r : results) {
+    for (float score : r.scores) nonfinite += std::isfinite(score) ? 0 : 1;
+  }
+  // Observe the stage samples and counters before resolving any future, so
+  // a client that returns from TopK (and immediately scrapes /metrics or
+  // /statusz) sees its own batch.
   for (size_t row = 0; row < work->size(); ++row) {
     metrics.stage_score_ns.Observe(scored_ns - start_ns);
     metrics.stage_rank_ns.Observe(0);
+  }
+  if (nonfinite > 0) {
+    metrics.nonfinite_scores.Add(nonfinite);
+    std::lock_guard<std::mutex> l(mu_);
+    nonfinite_scores_ += nonfinite;
   }
   for (size_t row = 0; row < work->size(); ++row) {
     (*work)[row].promise.set_value(std::move(results[row]));
@@ -366,6 +394,16 @@ int64_t RecoService::batches_run() const {
 int64_t RecoService::requests_served() const {
   std::lock_guard<std::mutex> l(mu_);
   return requests_served_;
+}
+
+int64_t RecoService::queued() const {
+  std::lock_guard<std::mutex> l(mu_);
+  return static_cast<int64_t>(queue_.size());
+}
+
+int64_t RecoService::nonfinite_scores() const {
+  std::lock_guard<std::mutex> l(mu_);
+  return nonfinite_scores_;
 }
 
 }  // namespace missl::serve

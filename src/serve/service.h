@@ -7,7 +7,10 @@
 //   client threads ──TopK()──► pending queue ──► dispatcher thread
 //                                                  │ coalesces up to
 //                                                  │ max_batch queries,
-//                                                  │ waiting max_wait_us
+//                                                  │ waiting at most
+//                                                  │ max_wait_us (less once
+//                                                  │ every declared caller
+//                                                  │ has a query queued)
 //                                                  ▼
 //                                       one planned-executor RunTopK:
 //                                       encoder forward, then one catalog
@@ -77,8 +80,11 @@ const char* PrecisionName(Precision p);
 struct ServeConfig {
   int64_t max_len = 50;     ///< history window (== model max_len)
   int32_t max_batch = 32;   ///< coalesce at most this many queries per forward
-  int64_t max_wait_us = 2000;  ///< how long the batcher waits to fill a batch
-  int num_threads = 0;      ///< forward-pass threads; 0 = runtime default
+  /// Longest the batcher holds a batch open to fill it. It closes early once
+  /// every declared caller has a query queued (RecoService::SetCallers).
+  int64_t max_wait_us = 2000;
+  /// Forward-pass threads; 0 = the loading thread's runtime::NumThreads().
+  int num_threads = 0;
   Precision precision = Precision::kFp32;  ///< see Precision
 };
 
@@ -107,6 +113,15 @@ class RecoService {
   /// history arrays, out-of-range item/behavior ids, or k < 1.
   Status TopK(const Query& query, TopKResult* out);
 
+  /// Declares how many callers can have a query outstanding at once (a
+  /// closed-loop client sends again only once answered). The batch window
+  /// then closes as soon as min(max_batch, callers) queries are queued:
+  /// no further query can join, so waiting longer only adds latency. 0 (the
+  /// default) declares nothing, and every batch waits out max_wait_us unless
+  /// max_batch fills. Lowering the count releases a batch that already
+  /// holds that many queries. Any thread may call it at any time.
+  void SetCallers(int callers);
+
   const core::SeqRecModel& model() const { return *model_; }
   int32_t num_items() const { return num_items_; }
   int32_t num_behaviors() const { return num_behaviors_; }
@@ -122,6 +137,11 @@ class RecoService {
   int64_t batches_run() const;
   /// Queries answered so far.
   int64_t requests_served() const;
+  /// Queries waiting for the dispatcher to take them into a batch.
+  int64_t queued() const;
+  /// Non-finite (NaN/±Inf) scores in the lists answered so far: a healthy
+  /// model never produces one.
+  int64_t nonfinite_scores() const;
 
  private:
   struct Pending {
@@ -139,6 +159,8 @@ class RecoService {
   int32_t num_items_;
   int32_t num_behaviors_;
   ServeConfig config_;
+  /// Forward-pass thread count, resolved once at Load.
+  int num_threads_ = 1;
   /// Static op plan, compiled at Load; scores and ranks every batch.
   std::unique_ptr<infer::PlannedExecutor> planned_;
 
@@ -146,8 +168,10 @@ class RecoService {
   std::condition_variable cv_;
   std::deque<Pending> queue_;
   bool stop_ = false;
+  int callers_ = 0;  ///< SetCallers; 0 = undeclared (full timed window)
   int64_t batches_run_ = 0;
   int64_t requests_served_ = 0;
+  int64_t nonfinite_scores_ = 0;
   std::thread dispatcher_;
 };
 

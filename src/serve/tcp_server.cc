@@ -9,6 +9,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstring>
 #include <sstream>
 #include <utility>
@@ -341,6 +342,16 @@ int64_t TcpServer::connections_refused() const {
   return refused_;
 }
 
+void TcpServer::DeclareCallers() {
+  // At most num_workers queries can be inside RecoService::TopK at once, so
+  // that many queued always completes a batch. Below it, each closed-loop
+  // connection adds one caller; a pipelining one may add any number.
+  service_->SetCallers(static_cast<int>(
+      pipelined_conns_ > 0
+          ? config_.num_workers
+          : std::min<int64_t>(query_conns_, config_.num_workers)));
+}
+
 void TcpServer::WakeEpoll() {
   uint64_t v = 1;
   ssize_t ignored = ::write(wake_fd_, &v, sizeof(v));
@@ -463,6 +474,7 @@ void TcpServer::AcceptPending() {
       conns_.emplace(fd, std::move(conn));
       ++accepted_;
       ++query_conns_;
+      DeclareCallers();
       now_active = conns_.size();
     }
     TcpMetrics::Get().accepted.Add(1);
@@ -570,6 +582,26 @@ void TcpServer::HandleReadable(const std::shared_ptr<Conn>& conn) {
 }
 
 void TcpServer::ProcessReadBuffer(const std::shared_ptr<Conn>& conn) {
+  // Lines that arrive while a query is outstanding (or together in one
+  // read) mean the client pipelines. Mark the connection before any of
+  // them reaches a worker, so the batch they join waits for its siblings.
+  const int64_t lines =
+      std::count(conn->rbuf.begin(), conn->rbuf.end(), '\n');
+  if (lines > 0) {
+    int in_flight;
+    {
+      std::lock_guard<std::mutex> l(conn->mu);
+      in_flight = conn->in_flight;
+    }
+    if (in_flight + lines > 1) {
+      std::lock_guard<std::mutex> l(mu_);
+      if (!conn->pipelined) {
+        conn->pipelined = true;
+        ++pipelined_conns_;
+        DeclareCallers();
+      }
+    }
+  }
   size_t start = 0;
   for (;;) {
     size_t nl = conn->rbuf.find('\n', start);
@@ -754,6 +786,7 @@ std::string TcpServer::StatuszJson() const {
   ss
      << ",\"requests_served\":" << service_->requests_served()
      << ",\"batches_run\":" << service_->batches_run()
+     << ",\"nonfinite_scores\":" << service_->nonfinite_scores()
      << ",\"connections\":{\"active\":" << active
      << ",\"accepted\":" << accepted << ",\"refused\":" << refused << "}"
      << ",\"alloc\":{\"mode\":\"" << alloc::ModeName(alloc::ActiveMode())
@@ -940,7 +973,11 @@ void TcpServer::CloseConn(const std::shared_ptr<Conn>& conn) {
   {
     std::lock_guard<std::mutex> l(mu_);
     conns_.erase(conn->fd);
-    if (!conn->admin) --query_conns_;
+    if (!conn->admin) {
+      --query_conns_;
+      if (conn->pipelined) --pipelined_conns_;
+      DeclareCallers();
+    }
     now_active = conns_.size();
     drained = draining_.load(std::memory_order_acquire) && query_conns_ == 0;
   }

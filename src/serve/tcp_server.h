@@ -24,6 +24,14 @@
 // may be answered out of order when the client pipelines; the echoed "id"
 // field is the correlation key.
 //
+// Each query connection is treated as a closed-loop caller until it sends a
+// query while another is still outstanding. On every accept, close and
+// first pipelined query the server declares min(open query connections,
+// num_workers) to RecoService::SetCallers — or num_workers while any open
+// connection has pipelined, since a pipelining client may always send
+// more — so a closed-loop batch leaves as soon as every connection has a
+// query queued instead of waiting out max_wait_us (docs/SERVING.md).
+//
 // Robustness contract (locked by tests/tcp_server_test.cc and the socket
 // sweep in tests/serve_fuzz_test.cc):
 //   - malformed lines are answered with {"id":-1,"error":...} and the
@@ -134,6 +142,9 @@ class TcpServer {
     bool rd_eof = false;       ///< peer half-closed; still flush answers
     bool reading = true;       ///< EPOLLIN armed (epoll thread only)
     bool want_write = false;   ///< EPOLLOUT armed (epoll thread only)
+    /// Has had two queries outstanding at once (guarded by the server's
+    /// mu_): no longer counted as a closed-loop caller (DeclareCallers).
+    bool pipelined = false;
 
     std::mutex mu;
     std::string wbuf;          ///< pending response bytes (guarded by mu)
@@ -193,6 +204,10 @@ class TcpServer {
   void CloseConn(const std::shared_ptr<Conn>& conn);
   void SetReading(const std::shared_ptr<Conn>& conn, bool enable);
   void WakeEpoll();
+  /// Tells the service how many callers can have a query outstanding:
+  /// min(open query connections, num_workers), or num_workers once any
+  /// open connection has pipelined. Caller must hold mu_.
+  void DeclareCallers();
   /// True once draining and no connection remains.
   bool Drained() const;
 
@@ -215,6 +230,7 @@ class TcpServer {
   int64_t accepted_ = 0;
   int64_t refused_ = 0;
   int64_t query_conns_ = 0;  ///< open non-admin conns; drain waits on 0
+  int64_t pipelined_conns_ = 0;  ///< open query conns with Conn::pipelined
 
   std::mutex jobs_mu_;
   std::condition_variable jobs_cv_;

@@ -154,6 +154,14 @@ TEST(LoadGenTest, RejectsBadConfig) {
   cfg.target_qps = -1;
   EXPECT_EQ(serve::RunLoadGen(cfg, &out).code(),
             StatusCode::kInvalidArgument);
+  cfg.target_qps = 0;
+  cfg.pipeline_depth = 0;
+  EXPECT_EQ(serve::RunLoadGen(cfg, &out).code(),
+            StatusCode::kInvalidArgument);
+  cfg.pipeline_depth = 2;  // open loop has no bursts to size
+  cfg.target_qps = 10;
+  EXPECT_EQ(serve::RunLoadGen(cfg, &out).code(),
+            StatusCode::kInvalidArgument);
 }
 
 TEST(LoadGenTest, ClosedLoopBoundHoldsAgainstRealServer) {
@@ -189,6 +197,34 @@ TEST(LoadGenTest, ClosedLoopBoundHoldsAgainstRealServer) {
   EXPECT_LE(out.p999_us, out.max_us);
   EXPECT_EQ(service->requests_served(), 30);
   EXPECT_EQ(server->connections_accepted(), cfg.connections);
+  server->Shutdown();
+}
+
+TEST(LoadGenTest, PipelinedClosedLoopKeepsItsDepthOutstanding) {
+  Status status;
+  auto service = MakeService("loadgen_pipelined.bin", &status);
+  ASSERT_NE(service, nullptr) << status.ToString();
+  serve::TcpServerConfig tcfg;
+  tcfg.num_workers = 4;
+  auto server = serve::TcpServer::Start(service.get(), tcfg, &status);
+  ASSERT_NE(server, nullptr) << status.ToString();
+
+  serve::LoadGenConfig cfg = MixConfig();
+  cfg.port = server->port();
+  cfg.connections = 2;
+  cfg.pipeline_depth = 3;
+  cfg.total_requests = 31;  // the last burst of each connection is short
+  cfg.seed = 8;
+  serve::LoadGenResult out;
+  Status s = serve::RunLoadGen(cfg, &out);
+  ASSERT_TRUE(s.ok()) << s.ToString();
+
+  EXPECT_EQ(out.sent, 31);
+  EXPECT_EQ(out.ok, 31);
+  EXPECT_EQ(out.errors, 0);
+  EXPECT_GE(out.max_in_flight, cfg.pipeline_depth);
+  EXPECT_LE(out.max_in_flight, cfg.connections * cfg.pipeline_depth);
+  EXPECT_EQ(service->requests_served(), 31);
   server->Shutdown();
 }
 

@@ -1,9 +1,15 @@
 // Online serving subsystem tests: frozen checkpoint loading, query-batch
 // collation parity with the training-time BatchBuilder, bitwise serve-vs-
 // offline top-K equivalence under concurrent clients, micro-batcher
-// coalescing, input validation, and the line protocol. The micro-batcher is
+// coalescing and its early-close rule, thread-count isolation between the
+// service and offline scoring, the non-finite score counter, input
+// validation, and the line protocol. The micro-batcher is
 // part of the TSan CI job (scripts/check.sh tsan), so every test here must
 // be race-free by construction.
+#include <atomic>
+#include <chrono>
+#include <cmath>
+#include <limits>
 #include <memory>
 #include <string>
 #include <thread>
@@ -17,6 +23,7 @@
 #include "data/dataset.h"
 #include "nn/serialize.h"
 #include "obs/metrics.h"
+#include "runtime/runtime.h"
 #include "serve/protocol.h"
 #include "serve/service.h"
 #include "utils/rng.h"
@@ -243,6 +250,241 @@ TEST(RecoServiceTest, BatcherCoalescesAndRecordsMetrics) {
             service->batches_run());
   obs::SetMetricsEnabled(metrics_were_enabled);
   std::remove(path.c_str());
+}
+
+// Saves a seed-`seed` model and loads a service from it whose in-memory
+// module starts from other weights, so only the checkpoint explains the
+// answers.
+std::unique_ptr<serve::RecoService> LoadService(uint64_t seed,
+                                                const serve::ServeConfig& cfg,
+                                                const char* ckpt_name) {
+  std::string path = CkptPath(ckpt_name);
+  if (!nn::SaveParameters(*MakeModel(seed), path).ok()) return nullptr;
+  Status status;
+  auto service = serve::RecoService::Load(MakeModel(seed + 1000), kItems,
+                                          kBehaviors, path, cfg, &status);
+  EXPECT_TRUE(status.ok()) << status.ToString();
+  std::remove(path.c_str());
+  return service;
+}
+
+// A 60 s window never expires within a test: a batch that leaves early left
+// because the early-close rule released it.
+serve::ServeConfig LongWindowConfig() {
+  serve::ServeConfig cfg;
+  cfg.max_len = kMaxLen;
+  cfg.max_batch = 8;
+  cfg.max_wait_us = 60'000'000;
+  return cfg;
+}
+
+// Polls until `service` holds `n` queued queries (the callers are parked in
+// the batch window).
+void AwaitQueued(const serve::RecoService& service, int64_t n) {
+  while (service.queued() < n) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+}
+
+TEST(BatchWindowTest, OneDeclaredCallerDispatchesAtOnce) {
+  auto service = LoadService(60, LongWindowConfig(), "serve_win1.bin");
+  ASSERT_NE(service, nullptr);
+  service->SetCallers(1);
+  Rng rng(61);
+  serve::Query q = RandomQuery(&rng);
+  serve::TopKResult out;
+  auto start = std::chrono::steady_clock::now();
+  ASSERT_TRUE(service->TopK(q, &out).ok());
+  EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::seconds(30));
+  EXPECT_FALSE(out.items.empty());
+  EXPECT_EQ(service->batches_run(), 1);
+  EXPECT_EQ(service->requests_served(), 1);
+}
+
+TEST(BatchWindowTest, FourDeclaredCallersMakeExactlyOneBatchOfFour) {
+  bool metrics_were_enabled = obs::MetricsEnabled();
+  obs::SetMetricsEnabled(true);
+  auto& batch_size = obs::MetricsRegistry::Global().GetHistogram(
+      "serve.batch_size");
+  const int64_t count_before = batch_size.count();
+  const int64_t sum_before = batch_size.sum();
+
+  auto service = LoadService(62, LongWindowConfig(), "serve_win4.bin");
+  ASSERT_NE(service, nullptr);
+  service->SetCallers(4);
+  Rng rng(63);
+  std::vector<serve::Query> queries;
+  for (int i = 0; i < 4; ++i) queries.push_back(RandomQuery(&rng));
+  std::vector<serve::TopKResult> results(queries.size());
+  std::vector<Status> statuses(queries.size());
+  std::vector<std::thread> clients;
+  for (size_t i = 0; i < queries.size(); ++i) {
+    clients.emplace_back(
+        [&, i] { statuses[i] = service->TopK(queries[i], &results[i]); });
+  }
+  for (auto& c : clients) c.join();
+  for (const Status& s : statuses) EXPECT_TRUE(s.ok()) << s.ToString();
+  // max_batch is 8, so only the 4 declared callers can have closed it.
+  EXPECT_EQ(batch_size.count() - count_before, 1);
+  EXPECT_EQ(batch_size.sum() - sum_before, 4);
+  EXPECT_EQ(service->batches_run(), 1);
+  obs::SetMetricsEnabled(metrics_were_enabled);
+}
+
+TEST(BatchWindowTest, LoweringCallersReleasesAParkedBatch) {
+  auto service = LoadService(64, LongWindowConfig(), "serve_win3.bin");
+  ASSERT_NE(service, nullptr);
+  service->SetCallers(4);
+  Rng rng(65);
+  std::vector<serve::Query> queries;
+  for (int i = 0; i < 3; ++i) queries.push_back(RandomQuery(&rng));
+  std::vector<serve::TopKResult> results(queries.size());
+  std::vector<Status> statuses(queries.size());
+  std::vector<std::thread> clients;
+  for (size_t i = 0; i < queries.size(); ++i) {
+    clients.emplace_back(
+        [&, i] { statuses[i] = service->TopK(queries[i], &results[i]); });
+  }
+  // 3 queued of 4 declared: the batch stays parked in its 60 s window.
+  AwaitQueued(*service, 3);
+  EXPECT_EQ(service->requests_served(), 0);
+  service->SetCallers(3);
+  for (auto& c : clients) c.join();
+  for (const Status& s : statuses) EXPECT_TRUE(s.ok()) << s.ToString();
+  EXPECT_EQ(service->batches_run(), 1);
+  EXPECT_EQ(service->requests_served(), 3);
+}
+
+TEST(BatchWindowTest, UndeclaredCallersWaitOutTheWindow) {
+  serve::ServeConfig cfg = LongWindowConfig();
+  cfg.max_wait_us = 50'000;
+  auto service = LoadService(66, cfg, "serve_win0.bin");
+  ASSERT_NE(service, nullptr);
+  Rng rng(67);
+  serve::Query q = RandomQuery(&rng);
+  serve::TopKResult out;
+  auto start = std::chrono::steady_clock::now();
+  ASSERT_TRUE(service->TopK(q, &out).ok());
+  EXPECT_GE(std::chrono::steady_clock::now() - start,
+            std::chrono::milliseconds(50));
+  EXPECT_EQ(service->batches_run(), 1);
+}
+
+TEST(RecoServiceTest, ServiceThreadCountNeverLeaksIntoOtherThreads) {
+  // The service pins its forward to 2 threads on its dispatcher; offline
+  // scoring on this thread, under its own counts, must see neither that
+  // count nor different answers. Both references are computed before the
+  // service exists.
+  auto offline = MakeModel(68);
+  Rng rng(69);
+  std::vector<serve::Query> queries;
+  for (int i = 0; i < 8; ++i) queries.push_back(RandomQuery(&rng));
+  data::Batch batch = serve::BuildQueryBatch(queries, kMaxLen, kBehaviors);
+  std::vector<std::vector<int32_t>> seen;
+  for (const auto& q : queries) seen.push_back(q.exclude);
+  auto expected = core::RecommendTopN(offline.get(), batch, seen, 10, kItems);
+
+  serve::ServeConfig cfg;
+  cfg.max_len = kMaxLen;
+  cfg.max_batch = 4;
+  cfg.max_wait_us = 200;
+  cfg.num_threads = 2;
+  auto service = LoadService(68, cfg, "serve_threads.bin");
+  ASSERT_NE(service, nullptr);
+
+  std::atomic<bool> served_ok{true};
+  std::vector<std::thread> clients;
+  for (int t = 0; t < 2; ++t) {
+    clients.emplace_back([&, t] {
+      for (int round = 0; round < 6; ++round) {
+        for (size_t i = static_cast<size_t>(t); i < queries.size(); i += 2) {
+          serve::TopKResult out;
+          if (!service->TopK(queries[i], &out).ok() ||
+              out.items.size() != static_cast<size_t>(queries[i].k)) {
+            served_ok = false;
+            continue;
+          }
+          for (size_t j = 0; j < out.items.size(); ++j) {
+            if (out.items[j] != expected[i].items[j] ||
+                out.scores[j] != expected[i].scores[j]) {
+              served_ok = false;
+            }
+          }
+        }
+      }
+    });
+  }
+  for (int threads : {1, 4}) {
+    runtime::ScopedNumThreads pin(threads);
+    for (int rep = 0; rep < 3; ++rep) {
+      ASSERT_EQ(runtime::NumThreads(), threads);
+      auto got = core::RecommendTopN(offline.get(), batch, seen, 10, kItems);
+      ASSERT_EQ(runtime::NumThreads(), threads);
+      ASSERT_EQ(got.size(), expected.size());
+      for (size_t i = 0; i < got.size(); ++i) {
+        EXPECT_EQ(got[i].items, expected[i].items) << "threads " << threads;
+        EXPECT_EQ(got[i].scores, expected[i].scores) << "threads " << threads;
+      }
+    }
+  }
+  for (auto& c : clients) c.join();
+  EXPECT_TRUE(served_ok.load());
+}
+
+TEST(RecoServiceTest, CountsNonFiniteScoresAndRanksNaNItemLast) {
+  // One NaN row in the item table makes exactly that item's score
+  // non-finite for any history that avoids it; with k = V it must come back
+  // last, and the counter must rise by exactly one per query.
+  constexpr int32_t kNaNItem = 17;
+  auto model = MakeModel(70);
+  bool found = false;
+  for (auto& [name, t] : model->NamedParameters()) {
+    if (name != "item_emb.weight") continue;
+    found = true;
+    for (int64_t j = 0; j < t.size(1); ++j) {
+      t.data()[kNaNItem * t.size(1) + j] = std::nanf("");
+    }
+  }
+  ASSERT_TRUE(found) << "no item_emb.weight parameter";
+  std::string path = CkptPath("serve_nan.bin");
+  ASSERT_TRUE(nn::SaveParameters(*model, path).ok());
+  serve::ServeConfig cfg;
+  cfg.max_len = kMaxLen;
+  cfg.max_wait_us = 0;
+  Status status;
+  auto service = serve::RecoService::Load(MakeModel(71), kItems, kBehaviors,
+                                          path, cfg, &status);
+  std::remove(path.c_str());
+  ASSERT_NE(service, nullptr) << status.ToString();
+
+  bool metrics_were_enabled = obs::MetricsEnabled();
+  obs::SetMetricsEnabled(true);
+  auto& counter =
+      obs::MetricsRegistry::Global().GetCounter("serve.nonfinite_scores");
+  const int64_t counter_before = counter.value();
+  Rng rng(72);
+  constexpr int kQueries = 3;
+  for (int i = 0; i < kQueries; ++i) {
+    serve::Query q = RandomQuery(&rng);
+    for (int32_t& item : q.items) {
+      if (item == kNaNItem) item = kNaNItem + 1;
+    }
+    q.exclude.clear();
+    q.k = kItems;
+    serve::TopKResult out;
+    ASSERT_TRUE(service->TopK(q, &out).ok());
+    ASSERT_EQ(out.items.size(), static_cast<size_t>(kItems));
+    EXPECT_EQ(out.items.back(), kNaNItem);
+    // Max routing scans from -Inf with a strict >, so an all-NaN interest
+    // group routes to -Inf, exactly as the offline Max op does.
+    EXPECT_EQ(out.scores.back(), -std::numeric_limits<float>::infinity());
+    for (int32_t j = 0; j + 1 < kItems; ++j) {
+      EXPECT_TRUE(std::isfinite(out.scores[static_cast<size_t>(j)]));
+    }
+    EXPECT_EQ(service->nonfinite_scores(), i + 1);
+  }
+  EXPECT_EQ(counter.value() - counter_before, kQueries);
+  obs::SetMetricsEnabled(metrics_were_enabled);
 }
 
 TEST(RecoServiceTest, RejectsMalformedQueriesWithoutCrashing) {

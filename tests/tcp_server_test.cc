@@ -5,6 +5,8 @@
 //     RecommendTopN, under 8 concurrent pipelining client threads;
 //   - graceful shutdown drains in-flight queries to completion while late
 //     connects are refused with a clean error line;
+//   - the batch window closes once every open query connection has a query
+//     queued, and closing an idle connection releases a parked batch;
 //   - the connection limit refuses extras and recovers when slots free up;
 //   - malformed lines are answered in-band and the connection stays usable;
 //   - a half-closed peer (shutdown(SHUT_WR)) still receives its answers;
@@ -23,9 +25,11 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstring>
 #include <map>
 #include <memory>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -175,6 +179,18 @@ int64_t ExtractId(const std::string& response) {
   return std::strtoll(response.c_str() + pos + 5, nullptr, 10);
 }
 
+// Polls until `ready()` holds; a 30 s cap turns a wedged server into a test
+// failure rather than a hang.
+template <typename Pred>
+bool AwaitTrue(Pred ready) {
+  auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (!ready()) {
+    if (std::chrono::steady_clock::now() > deadline) return false;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return true;
+}
+
 // The offline reference: one big RecommendTopN batch over all queries,
 // trimmed to each query's k and rendered through the same JSON formatter
 // the server uses, keyed by protocol id. String comparison makes the
@@ -307,28 +323,38 @@ TEST(TcpServerTest, GracefulShutdownDrainsInFlightAndRefusesLate) {
                                                             parsed);
 
   Status status;
-  // A wide batch window keeps the queries parked inside the micro-batcher
-  // when BeginShutdown() fires — genuinely in flight, not yet answered.
+  // The queries must be parked inside the micro-batcher when BeginShutdown()
+  // fires — genuinely in flight, not yet answered. A 60 s window plus one
+  // idle query connection does that: 4 declared callers, 3 queued, so the
+  // batch leaves only when the drain closes the idle connection.
   auto service = MakeService("tcp_drain.bin", 23, /*max_batch=*/64,
-                             /*max_wait_us=*/200000, &status);
+                             /*max_wait_us=*/60'000'000, &status);
   ASSERT_NE(service, nullptr) << status.ToString();
   serve::TcpServerConfig tcfg;
   tcfg.num_workers = 4;
   auto server = serve::TcpServer::Start(service.get(), tcfg, &status);
   ASSERT_NE(server, nullptr) << status.ToString();
 
+  int idle = ConnectLoopback(server->port());
+  ASSERT_GE(idle, 0);
   std::vector<int> fds;
   for (int c = 0; c < kConns; ++c) {
     int fd = ConnectLoopback(server->port());
     ASSERT_GE(fd, 0);
     fds.push_back(fd);
-    SendAllBytes(fd, serve::QueryToLine(parsed[static_cast<size_t>(c)].id,
-                                        parsed[static_cast<size_t>(c)].query) +
-                         "\n");
   }
-  // Give the epoll thread time to parse and hand the queries to workers,
-  // which are now blocked in the 200ms batch window.
-  std::this_thread::sleep_for(std::chrono::milliseconds(60));
+  ASSERT_TRUE(AwaitTrue([&] {
+    return server->active_connections() == kConns + 1;
+  }));
+  for (int c = 0; c < kConns; ++c) {
+    SendAllBytes(fds[static_cast<size_t>(c)],
+                 serve::QueryToLine(parsed[static_cast<size_t>(c)].id,
+                                    parsed[static_cast<size_t>(c)].query) +
+                     "\n");
+  }
+  // Wait until the workers have handed all three queries to the batcher.
+  ASSERT_TRUE(AwaitTrue([&] { return service->queued() == kConns; }));
+  ASSERT_EQ(service->requests_served(), 0) << "queries were not parked";
 
   server->BeginShutdown();
 
@@ -351,6 +377,9 @@ TEST(TcpServerTest, GracefulShutdownDrainsInFlightAndRefusesLate) {
     EXPECT_TRUE(RecvEof(fds[static_cast<size_t>(c)])) << "conn " << c;
     ::close(fds[static_cast<size_t>(c)]);
   }
+  // The idle connection had nothing in flight: the drain closed it.
+  EXPECT_TRUE(RecvEof(idle));
+  ::close(idle);
 
   server->Shutdown();
   EXPECT_EQ(server->active_connections(), 0);
@@ -358,6 +387,195 @@ TEST(TcpServerTest, GracefulShutdownDrainsInFlightAndRefusesLate) {
   // After a full Shutdown the listener is gone: connects are refused by the
   // kernel, not parked in the backlog.
   EXPECT_LT(ConnectLoopback(server->port()), 0);
+}
+
+// Sends one query on each of `fds` and checks each bitwise answer.
+void SendOneQueryEach(const std::vector<int>& fds,
+                      const std::vector<serve::ParsedQuery>& parsed) {
+  for (size_t c = 0; c < parsed.size(); ++c) {
+    SendAllBytes(fds[c],
+                 serve::QueryToLine(parsed[c].id, parsed[c].query) + "\n");
+  }
+}
+
+void ExpectAnswers(const std::vector<int>& fds,
+                   const std::vector<serve::ParsedQuery>& parsed,
+                   const std::map<int64_t, std::string>& expected) {
+  for (size_t c = 0; c < parsed.size(); ++c) {
+    std::string acc, line;
+    ASSERT_TRUE(RecvLine(fds[c], &acc, &line)) << "conn " << c;
+    EXPECT_EQ(line, expected.at(parsed[c].id)) << "conn " << c;
+  }
+}
+
+TEST(TcpServerTest, BatchLeavesOnceEveryConnectionHasAQueryQueued) {
+  constexpr int kConns = 3;
+  Rng rng(89);
+  std::vector<serve::ParsedQuery> parsed(kConns);
+  for (int c = 0; c < kConns; ++c) {
+    parsed[static_cast<size_t>(c)].id = 800 + c;
+    parsed[static_cast<size_t>(c)].query = RandomWireQuery(&rng);
+  }
+  auto offline = MakeModel(37);
+  auto expected = OfflineExpected(offline.get(), parsed);
+
+  // A 60 s window and max_batch 64: only the early-close rule (3 open
+  // connections, 3 queued) can send this batch before the test times out.
+  Status status;
+  auto service = MakeService("tcp_win3.bin", 37, /*max_batch=*/64,
+                             /*max_wait_us=*/60'000'000, &status);
+  ASSERT_NE(service, nullptr) << status.ToString();
+  auto server =
+      serve::TcpServer::Start(service.get(), serve::TcpServerConfig(), &status);
+  ASSERT_NE(server, nullptr) << status.ToString();
+  std::vector<int> fds;
+  for (int c = 0; c < kConns; ++c) {
+    fds.push_back(ConnectLoopback(server->port()));
+    ASSERT_GE(fds.back(), 0);
+  }
+  ASSERT_TRUE(
+      AwaitTrue([&] { return server->active_connections() == kConns; }));
+  SendOneQueryEach(fds, parsed);
+  ExpectAnswers(fds, parsed, expected);
+  EXPECT_EQ(service->batches_run(), 1);
+  EXPECT_EQ(service->requests_served(), kConns);
+  for (int fd : fds) ::close(fd);
+  server->Shutdown();
+}
+
+TEST(TcpServerTest, ClosingAnIdleConnectionReleasesAParkedBatch) {
+  constexpr int kConns = 3;
+  Rng rng(97);
+  std::vector<serve::ParsedQuery> parsed(kConns);
+  for (int c = 0; c < kConns; ++c) {
+    parsed[static_cast<size_t>(c)].id = 900 + c;
+    parsed[static_cast<size_t>(c)].query = RandomWireQuery(&rng);
+  }
+  auto offline = MakeModel(41);
+  auto expected = OfflineExpected(offline.get(), parsed);
+
+  Status status;
+  auto service = MakeService("tcp_win_idle.bin", 41, /*max_batch=*/64,
+                             /*max_wait_us=*/60'000'000, &status);
+  ASSERT_NE(service, nullptr) << status.ToString();
+  auto server =
+      serve::TcpServer::Start(service.get(), serve::TcpServerConfig(), &status);
+  ASSERT_NE(server, nullptr) << status.ToString();
+  int idle = ConnectLoopback(server->port());
+  ASSERT_GE(idle, 0);
+  std::vector<int> fds;
+  for (int c = 0; c < kConns; ++c) {
+    fds.push_back(ConnectLoopback(server->port()));
+    ASSERT_GE(fds.back(), 0);
+  }
+  ASSERT_TRUE(
+      AwaitTrue([&] { return server->active_connections() == kConns + 1; }));
+  SendOneQueryEach(fds, parsed);
+  // 4 open connections, 3 queued: the batch is parked in its window.
+  ASSERT_TRUE(AwaitTrue([&] { return service->queued() == kConns; }));
+  EXPECT_EQ(service->requests_served(), 0);
+  ::close(idle);
+  ExpectAnswers(fds, parsed, expected);
+  EXPECT_EQ(service->batches_run(), 1);
+  for (int fd : fds) ::close(fd);
+  server->Shutdown();
+}
+
+// Writes the queries as one pipelined burst (a single send) on `fd`.
+void SendPipelined(int fd, const std::vector<serve::ParsedQuery>& parsed,
+                   size_t first, size_t count) {
+  std::string burst;
+  for (size_t i = first; i < first + count; ++i) {
+    burst += serve::QueryToLine(parsed[i].id, parsed[i].query) + "\n";
+  }
+  SendAllBytes(fd, burst);
+}
+
+// Reads `count` answers from `fd`, in any order, and checks each by id.
+void ExpectPipelinedAnswers(int fd, size_t count,
+                            const std::map<int64_t, std::string>& expected) {
+  std::string acc, line;
+  std::set<int64_t> seen;
+  for (size_t i = 0; i < count; ++i) {
+    ASSERT_TRUE(RecvLine(fd, &acc, &line)) << "answer " << i;
+    int64_t id = ExtractId(line);
+    ASSERT_EQ(expected.count(id), 1u) << line;
+    EXPECT_TRUE(seen.insert(id).second) << "duplicate answer " << id;
+    EXPECT_EQ(line, expected.at(id));
+  }
+}
+
+TEST(TcpServerTest, PipelinedQueriesOnOneConnectionShareOneBatch) {
+  // One connection with 4 queries in flight is not one closed-loop caller:
+  // the batch must wait for all 4 (the worker count) rather than leave with
+  // the first.
+  constexpr int kQueries = 4;
+  Rng rng(101);
+  std::vector<serve::ParsedQuery> parsed(kQueries);
+  for (int i = 0; i < kQueries; ++i) {
+    parsed[static_cast<size_t>(i)].id = 1000 + i;
+    parsed[static_cast<size_t>(i)].query = RandomWireQuery(&rng);
+  }
+  auto offline = MakeModel(43);
+  auto expected = OfflineExpected(offline.get(), parsed);
+
+  Status status;
+  auto service = MakeService("tcp_pipe1.bin", 43, /*max_batch=*/64,
+                             /*max_wait_us=*/60'000'000, &status);
+  ASSERT_NE(service, nullptr) << status.ToString();
+  serve::TcpServerConfig tcfg;
+  tcfg.num_workers = kQueries;
+  auto server = serve::TcpServer::Start(service.get(), tcfg, &status);
+  ASSERT_NE(server, nullptr) << status.ToString();
+  int fd = ConnectLoopback(server->port());
+  ASSERT_GE(fd, 0);
+  ASSERT_TRUE(AwaitTrue([&] { return server->active_connections() == 1; }));
+  SendPipelined(fd, parsed, 0, kQueries);
+  ExpectPipelinedAnswers(fd, kQueries, expected);
+  EXPECT_EQ(service->batches_run(), 1);
+  EXPECT_EQ(service->requests_served(), kQueries);
+  ::close(fd);
+  server->Shutdown();
+}
+
+TEST(TcpServerTest, PipeliningConnectionsFillOneBatchUpToTheWorkerCount) {
+  // Two connections, each pipelining 2 queries, 4 workers. A pipelining
+  // client may always send more, so the first pair parks (2 queued < 4)
+  // even though both connections have a query queued; the second pair
+  // completes the batch.
+  constexpr int kQueries = 4;
+  Rng rng(103);
+  std::vector<serve::ParsedQuery> parsed(kQueries);
+  for (int i = 0; i < kQueries; ++i) {
+    parsed[static_cast<size_t>(i)].id = 1100 + i;
+    parsed[static_cast<size_t>(i)].query = RandomWireQuery(&rng);
+  }
+  auto offline = MakeModel(47);
+  auto expected = OfflineExpected(offline.get(), parsed);
+
+  Status status;
+  auto service = MakeService("tcp_pipe2.bin", 47, /*max_batch=*/64,
+                             /*max_wait_us=*/60'000'000, &status);
+  ASSERT_NE(service, nullptr) << status.ToString();
+  serve::TcpServerConfig tcfg;
+  tcfg.num_workers = kQueries;
+  auto server = serve::TcpServer::Start(service.get(), tcfg, &status);
+  ASSERT_NE(server, nullptr) << status.ToString();
+  int a = ConnectLoopback(server->port());
+  int b = ConnectLoopback(server->port());
+  ASSERT_GE(a, 0);
+  ASSERT_GE(b, 0);
+  ASSERT_TRUE(AwaitTrue([&] { return server->active_connections() == 2; }));
+  SendPipelined(a, parsed, 0, 2);
+  ASSERT_TRUE(AwaitTrue([&] { return service->queued() == 2; }));
+  EXPECT_EQ(service->requests_served(), 0);
+  SendPipelined(b, parsed, 2, 2);
+  ExpectPipelinedAnswers(a, 2, expected);
+  ExpectPipelinedAnswers(b, 2, expected);
+  EXPECT_EQ(service->batches_run(), 1);
+  ::close(a);
+  ::close(b);
+  server->Shutdown();
 }
 
 TEST(TcpServerTest, ConnectionLimitRefusesExtrasAndRecovers) {
@@ -620,10 +838,12 @@ TEST(TcpServerTest, HealthzFlipsDrainingDuringShutdown) {
   ASSERT_TRUE(nn::SaveParameters(*offline, path).ok());
   serve::ServeConfig scfg;
   scfg.max_len = kMaxLen;
-  // Wide batch window: the query sits in the micro-batcher while healthz
-  // flips, so the drain observation is made with work genuinely in flight.
+  // The query sits in the micro-batcher while healthz flips, so the drain
+  // observation is made with work genuinely in flight: a 60 s window and an
+  // idle second query connection (2 declared callers, 1 queued) park it
+  // until the drain closes the idle connection.
   scfg.max_batch = 64;
-  scfg.max_wait_us = 200000;
+  scfg.max_wait_us = 60'000'000;
   Status status;
   auto service = serve::RecoService::Load(MakeModel(929), kItems, kBehaviors,
                                           path, scfg, &status);
@@ -641,10 +861,14 @@ TEST(TcpServerTest, HealthzFlipsDrainingDuringShutdown) {
   EXPECT_EQ(r.code, 200);
   EXPECT_EQ(r.body, "ok\n");
 
+  int idle = ConnectLoopback(server->port());
+  ASSERT_GE(idle, 0);
   int fd = ConnectLoopback(server->port());
   ASSERT_GE(fd, 0);
+  ASSERT_TRUE(AwaitTrue([&] { return server->active_connections() == 2; }));
   SendAllBytes(fd, serve::QueryToLine(parked.id, parked.query) + "\n");
-  std::this_thread::sleep_for(std::chrono::milliseconds(60));
+  ASSERT_TRUE(AwaitTrue([&] { return service->queued() == 1; }));
+  ASSERT_EQ(service->requests_served(), 0) << "query was not parked";
 
   server->BeginShutdown();
 
@@ -668,6 +892,8 @@ TEST(TcpServerTest, HealthzFlipsDrainingDuringShutdown) {
   EXPECT_EQ(line, expected[parked.id]);
   EXPECT_TRUE(RecvEof(fd));
   ::close(fd);
+  EXPECT_TRUE(RecvEof(idle));
+  ::close(idle);
 
   server->Shutdown();
   // Full shutdown closes the admin listener too.
