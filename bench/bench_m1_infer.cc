@@ -1,10 +1,13 @@
 // M1-infer — graph vs planned inference executor, plus the int8 quantized
-// catalog tier and the fused catalog rank stage. Headline metrics: wall
-// clock per coalesced serve batch (BuildQueryBatch + full-catalog forward)
+// catalog tier, the padding-free forward under a length mix, and the fused
+// catalog rank stage. Headline metrics: wall clock per coalesced serve
+// batch (BuildQueryBatch + full-catalog forward)
 // for the training-mode tensor forward ("graph", the offline path and
 // bitwise oracle), the planned executor ("planned", src/infer/ — static op
 // plan, fused kernels, pooled scratch; the only serving executor), and the
-// int8 catalog plan ("planned-int8"); then a catalog-score-stage
+// int8 catalog plan ("planned-int8"); then the planned forward at B = 1
+// and 32 over full, mixed and length-4 histories, whose computed/skipped
+// position counts are gated exactly; then a catalog-score-stage
 // comparison at serving scale (V = 20000) where the int8 tier's throughput
 // (>= 2.5x when AVX2 is active) and catalog memory ratio (>= 3.0x, exact
 // value 4d / (d + 4)) are gated; then the catalog rank stage (score + max
@@ -29,6 +32,7 @@
 #include "core/topk.h"
 #include "infer/catalog.h"
 #include "infer/plan.h"
+#include "obs/metrics.h"
 #include "runtime/parallel_for.h"
 #include "serve/service.h"
 #include "tensor/quant.h"
@@ -199,6 +203,92 @@ int main(int argc, char** argv) {
       .Num(1e6 / planned_q_us, 1)
       .Num(graph_us / planned_q_us, 2);
   table.Print();
+
+  // Length mix: the planned forward computes only each row's real
+  // positions (docs/INFERENCE.md "Padding-free positions"), so its cost
+  // follows the history lengths. B = 1 and B = 32 at every row full
+  // (L = T), at lengths uniform in [4, T] (perfbench's query mix), and at
+  // L = 4. Each row is checked bitwise against the graph forward, then its
+  // position counters are read from one metered run and gated exactly: at
+  // L = T nothing is skipped, at L = 4 exactly 4 positions per row are
+  // computed. Timing is min-of-N like the table above.
+  {
+    const int64_t T = wb.max_len;
+    const bool was_metered = obs::MetricsEnabled();
+    auto& reg = obs::MetricsRegistry::Global();
+    obs::Counter& computed = reg.GetCounter("infer.positions_computed");
+    obs::Counter& padded = reg.GetCounter("infer.positions_padded");
+    Table ltable({"LengthMix", "Batch", "Computed", "Padded", "us/batch",
+                  "vs_full"});
+    struct Mix {
+      const char* name;
+      int64_t lo, hi;  // history lengths drawn uniformly from [lo, hi]
+    };
+    const Mix mixes[] = {{"L=T", T, T}, {"uniform[4,T]", 4, T}, {"L=4", 4, 4}};
+    for (int64_t B : {int64_t{1}, kBatch}) {
+      double full_us = 0.0;
+      for (const Mix& mix : mixes) {
+        Rng lrng(static_cast<uint64_t>(301 + B));
+        std::vector<serve::Query> qs(static_cast<size_t>(B));
+        int64_t want_computed = 0;
+        for (auto& q : qs) {
+          const int64_t len =
+              mix.lo + static_cast<int64_t>(lrng.UniformInt(
+                           static_cast<uint64_t>(mix.hi - mix.lo + 1)));
+          want_computed += len;
+          for (int64_t i = 0; i < len; ++i) {
+            q.items.push_back(
+                static_cast<int32_t>(lrng.UniformInt(wb.ds.num_items())));
+            q.behaviors.push_back(static_cast<int32_t>(
+                lrng.UniformInt(wb.ds.num_behaviors())));
+          }
+        }
+        data::Batch batch =
+            serve::BuildQueryBatch(qs, T, wb.ds.num_behaviors());
+        Tensor oracle = model->ScoreAllItems(batch, wb.ds.num_items(), catalog);
+        obs::SetMetricsEnabled(true);
+        const int64_t c0 = computed.value(), p0 = padded.value();
+        const float* got = plan->Run(batch);
+        const int64_t got_computed = computed.value() - c0;
+        const int64_t got_padded = padded.value() - p0;
+        obs::SetMetricsEnabled(was_metered);
+        for (int64_t i = 0; i < oracle.numel(); ++i) {
+          if (oracle.data()[i] != got[i]) {
+            std::fprintf(stderr,
+                         "FAIL: planned executor diverges from the graph "
+                         "forward on length mix %s, B=%lld, at flat index "
+                         "%lld (tier=%s)\n",
+                         mix.name, static_cast<long long>(B),
+                         static_cast<long long>(i),
+                         simd::TierName(simd::ActiveTier()));
+            return 1;
+          }
+        }
+        if (got_computed != want_computed ||
+            got_padded != B * T - want_computed) {
+          std::fprintf(stderr,
+                       "FAIL: length mix %s, B=%lld computed %lld positions "
+                       "and skipped %lld; want %lld and %lld\n",
+                       mix.name, static_cast<long long>(B),
+                       static_cast<long long>(got_computed),
+                       static_cast<long long>(got_padded),
+                       static_cast<long long>(want_computed),
+                       static_cast<long long>(B * T - want_computed));
+          return 1;
+        }
+        const double us = measure([&] { plan->Run(batch); });
+        if (full_us == 0.0) full_us = us;
+        ltable.Row()
+            .Cell(mix.name)
+            .Int(B)
+            .Int(got_computed)
+            .Int(got_padded)
+            .Num(us, 1)
+            .Num(us / full_us, 2);
+      }
+    }
+    ltable.Print();
+  }
 
   // Catalog-score stage at serving scale: V = 20000 items, d = 32, one
   // coalesced batch's worth of interest rows. Replicates each tier's hot
@@ -443,7 +533,10 @@ int main(int argc, char** argv) {
   std::printf("Expected shape: planned beats graph (no autograd nodes, no "
               "per-op tensor materialization, pooled scratch); planned-int8 "
               "beats planned where catalog scoring dominates (4x denser "
-              "codes, maddubs dots); bitwise equality (fp32) and cross-tier "
-              "determinism (int8) are checked before timing.\n");
+              "codes, maddubs dots); the planned forward's cost follows the real "
+              "history lengths (LengthMix: vs_full well below 1 for short "
+              "histories, computed/padded position counts gated exactly); "
+              "bitwise equality (fp32) and cross-tier determinism (int8) "
+              "are checked before timing.\n");
   return 0;
 }

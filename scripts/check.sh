@@ -49,6 +49,10 @@ run_release() {
   ./build-check-release/bench/bench_m1_infer --smoke
   echo "=== [release] serving-load smoke (TCP front-end under load) ==="
   ./build-check-release/bench/bench_m1_serve --smoke
+  echo "=== [release] serving smoke across the padding boundary (max-len 8) ==="
+  ./build-check-release/examples/missl_serve --smoke --max-len 8 \
+    --queries examples/serve_queries.tsv > build-check-release/serve_len8.jsonl
+  test "$(grep -c '^{' build-check-release/serve_len8.jsonl)" -eq 20
   echo "=== [release] int8 serving smoke (accuracy-gated selftest) ==="
   ./build-check-release/examples/missl_serve --smoke --precision int8 \
     --queries examples/serve_queries.tsv > /dev/null

@@ -239,6 +239,8 @@ std::unique_ptr<PlannedExecutor> PlannedExecutor::Compile(
   // Integer scratch for the masked id streams (see MisslModel::Encode);
   // presized so Run never resizes.
   ex->items_.assign(static_cast<size_t>(max_batch * t), -1);
+  ex->start_.assign(static_cast<size_t>(max_batch), 0);
+  ex->real_off_.assign(static_cast<size_t>(max_batch + 1), 0);
   ex->behs_.assign(static_cast<size_t>(max_batch * t), -1);
   if (cfg.use_recency) ex->rec_.assign(static_cast<size_t>(max_batch * t), -1);
 
@@ -255,8 +257,10 @@ std::unique_ptr<PlannedExecutor> PlannedExecutor::Compile(
     op.w2 = need("pos_emb.weight");
     op.w3 = need("beh_emb.weight");
     if (cfg.use_recency) op.bias = need("recency_emb.weight");
+    op.rows_per_b = t;
     op.in = d;
     op.t = t;
+    op.positional = true;
     emit(op);
   }
   // Dropout is identity in eval mode and therefore absent from the plan.
@@ -291,6 +295,7 @@ std::unique_ptr<PlannedExecutor> PlannedExecutor::Compile(
         op.rows_per_b = t;
         op.in = d;
         op.out = d;
+        op.positional = true;
         emit(op);
       }
       int32_t node_scores = ex->NewBuffer(t, p + "node_scores");
@@ -304,6 +309,7 @@ std::unique_ptr<PlannedExecutor> PlannedExecutor::Compile(
         op.rows_per_b = t;
         op.in = d;
         op.out = 1;
+        op.positional = true;
         emit(op);
       }
       // edge_attn[b, e, t] = masked row-normalize of node scores over inc.
@@ -321,6 +327,7 @@ std::unique_ptr<PlannedExecutor> PlannedExecutor::Compile(
         op.out = t;
         op.t = t;
         op.flag = false;  // mask element (row=edge, col=pos) = inc[edge, pos]
+        op.positional = true;  // positions are the columns here
         emit(op);
       }
       int32_t edge_feats = ex->NewBuffer(e * d, p + "edge_feats");
@@ -378,6 +385,7 @@ std::unique_ptr<PlannedExecutor> PlannedExecutor::Compile(
         op.out = e;
         op.t = t;
         op.flag = true;  // mask element (row=pos, col=edge) = inc[edge, pos]
+        op.positional = true;
         emit(op);
       }
       int32_t agg = ex->NewBuffer(t * d, p + "agg");
@@ -391,6 +399,7 @@ std::unique_ptr<PlannedExecutor> PlannedExecutor::Compile(
         op.rows_per_b = t;
         op.in = e;
         op.out = d;
+        op.positional = true;
         emit(op);
       }
       int32_t wo_out = ex->NewBuffer(t * d, p + "wo");
@@ -405,6 +414,7 @@ std::unique_ptr<PlannedExecutor> PlannedExecutor::Compile(
         op.rows_per_b = t;
         op.in = d;
         op.out = d;
+        op.positional = true;
         emit(op);
       }
       int32_t ln_sum = ex->NewBuffer(t * d, p + "ln_sum");
@@ -424,6 +434,7 @@ std::unique_ptr<PlannedExecutor> PlannedExecutor::Compile(
         op.rows_per_b = t;
         op.in = d;
         op.scale = kLayerNormEps;
+        op.positional = true;
         emit(op);
       }
       cur = h_out;
@@ -434,6 +445,7 @@ std::unique_ptr<PlannedExecutor> PlannedExecutor::Compile(
   const float attn_scale = 1.0f / std::sqrt(static_cast<float>(dh));
   for (int64_t i = 0; i < cfg.seq_layers; ++i) {
     const std::string p = "encoder.layer" + std::to_string(i) + ".";
+    // Every encoder linear maps one position's row to one position's row.
     auto linear = [&](const std::string& name, int32_t src, int64_t rows,
                       int64_t in, int64_t out, Activation act) {
       int32_t dst = ex->NewBuffer(rows * out, p + name);
@@ -448,6 +460,7 @@ std::unique_ptr<PlannedExecutor> PlannedExecutor::Compile(
       op.rows_per_b = rows;
       op.in = in;
       op.out = out;
+      op.positional = true;
       emit(op);
       return dst;
     };
@@ -472,6 +485,7 @@ std::unique_ptr<PlannedExecutor> PlannedExecutor::Compile(
       op.heads = heads;
       op.dh = dh;
       op.scale = attn_scale;
+      op.positional = true;
       emit(op);
     }
     int32_t attn_out = linear("attn.wo", concat, t, d, d, Activation::kNone);
@@ -492,6 +506,7 @@ std::unique_ptr<PlannedExecutor> PlannedExecutor::Compile(
       op.rows_per_b = t;
       op.in = d;
       op.scale = kLayerNormEps;
+      op.positional = true;
       emit(op);
     }
     Tensor& fc1_w = param(p + "ffn.fc1.weight");  // [d, ffn_hidden]
@@ -516,6 +531,7 @@ std::unique_ptr<PlannedExecutor> PlannedExecutor::Compile(
       op.rows_per_b = t;
       op.in = d;
       op.scale = kLayerNormEps;
+      op.positional = true;
       emit(op);
     }
     cur = h2;
@@ -537,6 +553,7 @@ std::unique_ptr<PlannedExecutor> PlannedExecutor::Compile(
     op.rows_per_b = t;
     op.in = d;
     op.out = d;
+    op.positional = true;
     emit(op);
   }
   // Per-row scratch for scores [T, K] + transposed scores [K, T].
@@ -573,6 +590,7 @@ std::unique_ptr<PlannedExecutor> PlannedExecutor::Compile(
     op.k = K;
     op.in = d;
     op.behavior = behavior;
+    op.positional = true;
     emit(op);
     return dst;
   };
@@ -640,6 +658,7 @@ std::unique_ptr<PlannedExecutor> PlannedExecutor::Compile(
       op.dst = common;
       op.t = t;
       op.in = d;
+      op.positional = true;
       emit(op);
     }
     int32_t cproj = ex->NewBuffer(d, "common_proj");
@@ -752,6 +771,7 @@ std::string PlannedExecutor::ToString() const {
     if (op.out > 0) os << " out=" << op.out;
     if (op.act != Activation::kNone) os << " act=" << ActName(op.act);
     if (op.behavior >= 0) os << " behavior=" << op.behavior;
+    if (op.positional) os << " positional";
     os << "\n";
   }
   return os.str();

@@ -5,8 +5,11 @@
 // order everywhere — so Run is bitwise-identical to
 // MisslModel::ScoreAllItems on every SIMD tier at every thread count (the
 // contract is spelled out in docs/INFERENCE.md and enforced by
-// tests/infer_test.cc). Nothing here allocates: all floats live in the
-// plan's arena, the integer id streams in vectors presized at compile time.
+// tests/infer_test.cc). Positional ops visit only each row's real
+// positions [s_b, t) (docs/INFERENCE.md "Padding-free positions" proves
+// that changes no score bit). Nothing here allocates: all floats live in
+// the plan's arena, the integer id streams and per-row starts in vectors
+// presized at compile time.
 #include <algorithm>
 #include <cmath>
 #include <cstring>
@@ -27,6 +30,10 @@ namespace {
 struct InferMetrics {
   obs::Counter& runs;
   obs::Histogram& run_ns;
+  /// Positions the forward computed / skipped as leading padding, summed
+  /// over batch rows (docs/INFERENCE.md "Padding-free positions").
+  obs::Counter& positions_computed;
+  obs::Counter& positions_padded;
   /// Activation-side int8 codes clamped to ±127 (rounding edge cases; the
   /// per-row symmetric scale makes genuine saturation impossible).
   obs::Counter& quant_act_saturated;
@@ -34,6 +41,8 @@ struct InferMetrics {
     static InferMetrics m{
         obs::MetricsRegistry::Global().GetCounter("infer.runs"),
         obs::MetricsRegistry::Global().GetHistogram("infer.run_ns"),
+        obs::MetricsRegistry::Global().GetCounter("infer.positions_computed"),
+        obs::MetricsRegistry::Global().GetCounter("infer.positions_padded"),
         obs::MetricsRegistry::Global().GetCounter(
             "infer.quant.act_saturated")};
     return m;
@@ -101,6 +110,22 @@ CatalogInput PlannedExecutor::Forward(const data::Batch& batch) {
     }
   }
   orig_behs_ = mb;
+  // Each row's first effective position s_b: positional ops compute only
+  // [s_b, t). A row with no effective event keeps s_b = 0, the full row.
+  for (int64_t bb = 0; bb < b; ++bb) {
+    const int32_t* it = items_.data() + bb * t;
+    int64_t s = 0;
+    while (s < t && it[s] < 0) ++s;
+    if (s == t) s = 0;
+    start_[static_cast<size_t>(bb)] = s;
+    real_off_[static_cast<size_t>(bb + 1)] =
+        real_off_[static_cast<size_t>(bb)] + (t - s);
+  }
+  if (obs::MetricsEnabled()) {
+    InferMetrics& m = InferMetrics::Get();
+    m.positions_computed.Add(real_off_[static_cast<size_t>(b)]);
+    m.positions_padded.Add(n - real_off_[static_cast<size_t>(b)]);
+  }
   // The arena grows to the largest batch seen and is then reused as is, so
   // steady-state runs never allocate.
   if (arena_.size() < b * row_floats_) arena_.assign(b * row_floats_, 0.0f);
@@ -135,6 +160,40 @@ void PlannedExecutor::RunTopK(const data::Batch& batch,
   m.run_ns.Observe(obs::NowNanos() - t0);
 }
 
+void PlannedExecutor::FillScratchForTesting(float value) {
+  arena_.assign(max_batch_ * row_floats_, value);
+}
+
+template <typename Fn>
+void PlannedExecutor::ForRows(const Op& op, bool positional, int64_t b,
+                              int64_t cost, float* dst, int64_t width,
+                              const Fn& fn) {
+  if (!positional) {
+    runtime::ParallelFor(0, b * op.rows_per_b, runtime::GrainForCost(cost),
+                         fn);
+    return;
+  }
+  // Chunks split the compact index of real rows, so threads share the real
+  // work; real_off_ is strictly increasing (every row has >= 1 real row).
+  const int64_t t = t_;
+  const int64_t* off = real_off_.data();
+  runtime::ParallelFor(
+      0, off[b], runtime::GrainForCost(cost), [&](int64_t c0, int64_t c1) {
+        int64_t bb = std::upper_bound(off, off + b + 1, c0) - off - 1;
+        while (c0 < c1) {
+          const int64_t s = start_[static_cast<size_t>(bb)];
+          if (c0 == off[bb]) {
+            std::fill(dst + bb * t * width, dst + (bb * t + s) * width, 0.0f);
+          }
+          const int64_t end = std::min(c1, off[bb + 1]);
+          const int64_t shift = bb * t + s - off[bb];
+          fn(c0 + shift, end + shift);
+          c0 = end;
+          ++bb;
+        }
+      });
+}
+
 void PlannedExecutor::Execute(const Op& op, int64_t b) {
   switch (op.kind) {
     case OpKind::kEmbedSum: return ExecEmbedSum(op, b);
@@ -165,8 +224,8 @@ void PlannedExecutor::ExecEmbedSum(const Op& op, int64_t b) {
   const int32_t* items = items_.data();
   const int32_t* behs = behs_.data();
   const int32_t* rec = cfg_.use_recency ? rec_.data() : nullptr;
-  runtime::ParallelFor(
-      0, b * t, runtime::GrainForCost(4 * d), [&](int64_t r0, int64_t r1) {
+  ForRows(
+      op, op.positional, b, 4 * d, dst, d, [&](int64_t r0, int64_t r1) {
         for (int64_t idx = r0; idx < r1; ++idx) {
           const int64_t i = idx % t;
           const int32_t id = items[idx];
@@ -214,8 +273,8 @@ void PlannedExecutor::ExecLinear(const Op& op, int64_t b) {
   const float* src = BufPtr(op.src);
   float* dst = BufPtr(op.dst);
   const int64_t in = op.in, out = op.out;
-  runtime::ParallelFor(
-      0, b * op.rows_per_b, runtime::GrainForCost(2 * in * out),
+  ForRows(
+      op, op.positional, b, 2 * in * out, dst, out,
       [&](int64_t r0, int64_t r1) {
         std::fill(dst + r0 * out, dst + r1 * out, 0.0f);
         simd::GemmRows(src, op.w, dst, in, out, r0, r1);
@@ -249,24 +308,32 @@ void PlannedExecutor::ExecMaskedNormalize(const Op& op, int64_t b) {
   const int64_t mask_per_b = bufs_[static_cast<size_t>(op.src2)].per_b;
   float* ex = BufPtr(op.scratch);
   float* dst = BufPtr(op.dst);
+  // Node pass (flag): rows are positions. Edge pass: columns are.
+  const bool pos_rows = op.positional && op.flag;
+  const bool pos_cols = op.positional && !op.flag;
+  const int64_t* start = start_.data();
   runtime::ParallelFor(0, b * cols, runtime::GrainForCost(8),
                        [&](int64_t i0, int64_t i1) {
                          for (int64_t i = i0; i < i1; ++i) {
+                           if (pos_cols && i % cols < start[i / cols]) continue;
                            float x = scores[i];
                            x = x < -10.0f ? -10.0f : (x > 10.0f ? 10.0f : x);
                            ex[i] = std::exp(x);
                          }
                        });
-  runtime::ParallelFor(
-      0, b * rows, runtime::GrainForCost(4 * cols),
-      [&](int64_t r0, int64_t r1) {
+  ForRows(
+      op, pos_rows, b, 4 * cols, dst, cols, [&](int64_t r0, int64_t r1) {
         for (int64_t rr = r0; rr < r1; ++rr) {
           const int64_t bb = rr / rows, r = rr % rows;
           const float* exb = ex + bb * cols;
           const float* mk = mask + bb * mask_per_b;
           float* o = dst + rr * cols;
+          // A padded column's weight is exp(.) * 0 = +0, and +0 / denom is
+          // +0: writing it directly leaves every bit as it was.
+          const int64_t c0 = pos_cols ? start[bb] : 0;
+          std::fill(o, o + c0, 0.0f);
           float denom = 0.0f;
-          for (int64_t c = 0; c < cols; ++c) {
+          for (int64_t c = c0; c < cols; ++c) {
             // Literal multiply by the 0/1 mask (not a branch): x * 0.0f
             // keeps the sign semantics of the training-mode Mul.
             const float m = op.flag ? mk[c * t + r] : mk[r * cols + c];
@@ -275,7 +342,7 @@ void PlannedExecutor::ExecMaskedNormalize(const Op& op, int64_t b) {
             denom += w;
           }
           denom = denom + 1e-9f;
-          for (int64_t c = 0; c < cols; ++c) o[c] = o[c] / denom;
+          for (int64_t c = c0; c < cols; ++c) o[c] = o[c] / denom;
         }
       });
 }
@@ -286,8 +353,8 @@ void PlannedExecutor::ExecBatchedGemm(const Op& op, int64_t b) {
   const float* a = BufPtr(op.src);
   const float* bb = BufPtr(op.src2);
   float* dst = BufPtr(op.dst);
-  runtime::ParallelFor(
-      0, b * m, runtime::GrainForCost(2 * k * nn), [&](int64_t r0, int64_t r1) {
+  ForRows(
+      op, op.positional, b, 2 * k * nn, dst, nn, [&](int64_t r0, int64_t r1) {
         std::fill(dst + r0 * nn, dst + r1 * nn, 0.0f);
         int64_t r = r0;
         while (r < r1) {
@@ -306,7 +373,9 @@ void PlannedExecutor::ExecBatchedGemm(const Op& op, int64_t b) {
 // Slice / Transpose / MatMul / MulScalar / Add / Softmax / MatMul / Concat
 // chain. The packs are pure data movement; the arithmetic per element is
 // the training chain verbatim (mask adds are executed literally even when
-// the addend is 0.0f).
+// the addend is 0.0f). Only the L x L block of real positions is computed,
+// L = t - s_b: a padded key's probability is exactly +0 and comes first in
+// every ascending sum, so dropping it changes no bit of a real row.
 void PlannedExecutor::ExecAttention(const Op& op, int64_t b) {
   const int64_t t = op.t, heads = op.heads, dh = op.dh, d = d_;
   const float* q = BufPtr(op.src);
@@ -318,39 +387,46 @@ void PlannedExecutor::ExecAttention(const Op& op, int64_t b) {
   runtime::ParallelFor(0, b * heads, 1, [&](int64_t s0, int64_t s1) {
     for (int64_t s = s0; s < s1; ++s) {
       const int64_t bb = s / heads, h = s % heads;
-      float* qp = scratch + s * slab;   // [t, dh]
-      float* kt = qp + t * dh;          // [dh, t]
-      float* vp = kt + dh * t;          // [t, dh]
-      float* sc = vp + t * dh;          // [t, t]
-      float* out = sc + t * t;          // [t, dh]
-      for (int64_t i = 0; i < t; ++i) {
-        const float* base = q + (bb * t + i) * d + h * dh;
+      const int64_t p0 = Start(op, bb), n = t - p0;
+      float* qp = scratch + s * slab;   // [n, dh]
+      float* kt = qp + n * dh;          // [dh, n]
+      float* vp = kt + dh * n;          // [n, dh]
+      float* sc = vp + n * dh;          // [n, n]
+      float* out = sc + n * n;          // [n, dh]
+      const int64_t row0 = bb * t + p0;  // first real position's row
+      for (int64_t i = 0; i < n; ++i) {
+        const float* base = q + (row0 + i) * d + h * dh;
         std::memcpy(qp + i * dh, base, static_cast<size_t>(dh) * sizeof(float));
       }
-      for (int64_t i = 0; i < t; ++i) {
-        const float* kr = k + (bb * t + i) * d + h * dh;
-        for (int64_t c = 0; c < dh; ++c) kt[c * t + i] = kr[c];
+      for (int64_t i = 0; i < n; ++i) {
+        const float* kr = k + (row0 + i) * d + h * dh;
+        for (int64_t c = 0; c < dh; ++c) kt[c * n + i] = kr[c];
       }
-      for (int64_t i = 0; i < t; ++i) {
-        const float* base = v + (bb * t + i) * d + h * dh;
+      for (int64_t i = 0; i < n; ++i) {
+        const float* base = v + (row0 + i) * d + h * dh;
         std::memcpy(vp + i * dh, base, static_cast<size_t>(dh) * sizeof(float));
       }
-      std::fill(sc, sc + t * t, 0.0f);
-      simd::GemmRows(qp, kt, sc, dh, t, 0, t);
-      const int32_t* it = items_.data() + bb * t;
-      for (int64_t i = 0; i < t; ++i) {
-        float* row = sc + i * t;
-        simd::ScaleRow(row, op.scale, row, t);
-        for (int64_t j = 0; j < t; ++j) {
+      std::fill(sc, sc + n * n, 0.0f);
+      simd::GemmRows(qp, kt, sc, dh, n, 0, n);
+      const int32_t* it = items_.data() + row0;
+      for (int64_t i = 0; i < n; ++i) {
+        float* row = sc + i * n;
+        simd::ScaleRow(row, op.scale, row, n);
+        for (int64_t j = 0; j < n; ++j) {
           row[j] = row[j] + (it[j] < 0 ? -1e9f : 0.0f);
         }
-        SoftmaxRow(row, t);
+        SoftmaxRow(row, n);
       }
-      std::fill(out, out + t * dh, 0.0f);
-      simd::GemmRows(sc, vp, out, t, dh, 0, t);
+      std::fill(out, out + n * dh, 0.0f);
+      simd::GemmRows(sc, vp, out, n, dh, 0, n);
       for (int64_t i = 0; i < t; ++i) {
-        std::memcpy(dst + (bb * t + i) * d + h * dh, out + i * dh,
-                    static_cast<size_t>(dh) * sizeof(float));
+        float* o = dst + (bb * t + i) * d + h * dh;
+        if (i < p0) {
+          std::fill(o, o + dh, 0.0f);
+        } else {
+          std::memcpy(o, out + (i - p0) * dh,
+                      static_cast<size_t>(dh) * sizeof(float));
+        }
       }
     }
   });
@@ -367,9 +443,8 @@ void PlannedExecutor::ExecResidualLayerNorm(const Op& op, int64_t b) {
   float* xh = BufPtr(op.scratch2);
   float* dst = BufPtr(op.dst);
   const float eps = op.scale;
-  runtime::ParallelFor(
-      0, b * op.rows_per_b, runtime::GrainForCost(6 * d),
-      [&](int64_t r0, int64_t r1) {
+  ForRows(
+      op, op.positional, b, 6 * d, dst, d, [&](int64_t r0, int64_t r1) {
         for (int64_t r = r0; r < r1; ++r) {
           float* s = sum + r * d;
           simd::AddRow(x + r * d, a + r * d, s, d);
@@ -392,7 +467,10 @@ void PlannedExecutor::ExecResidualLayerNorm(const Op& op, int64_t b) {
 // Per-behavior interest pooling: scores = keys x q^T (plan-constant
 // transposed query block), transposed, channel-masked, softmaxed, applied
 // to the encoded states, and zeroed via the literal 0/1 indicator multiply
-// when the row has no event of this channel.
+// when the row has no event of this channel. Scores, softmax and pooling
+// run over the real positions [s_b, t) only. With a member event that is
+// exact (the attention argument); without one the result is o * 0, whose
+// sign of zero no score can observe (docs/INFERENCE.md).
 void PlannedExecutor::ExecInterestExtract(const Op& op, int64_t b) {
   const int64_t t = op.t, K = op.k, d = op.in;
   const float* keys = BufPtr(op.src);
@@ -404,32 +482,34 @@ void PlannedExecutor::ExecInterestExtract(const Op& op, int64_t b) {
   const int32_t* all_behs = orig_behs_;
   runtime::ParallelFor(0, b, 1, [&](int64_t b0, int64_t b1) {
     for (int64_t bb = b0; bb < b1; ++bb) {
-      float* stk = scratch + bb * slab;  // [t, K]
-      float* skt = stk + t * K;          // [K, t]
-      std::fill(stk, stk + t * K, 0.0f);
-      simd::GemmRows(keys + bb * t * d, op.w, stk, d, K, 0, t);
-      for (int64_t i = 0; i < t; ++i) {
-        for (int64_t kk = 0; kk < K; ++kk) skt[kk * t + i] = stk[i * K + kk];
+      const int64_t p0 = Start(op, bb), n = t - p0;
+      const int64_t row0 = bb * t + p0;  // first real position's row
+      float* stk = scratch + bb * slab;  // [n, K]
+      float* skt = stk + n * K;          // [K, n]
+      std::fill(stk, stk + n * K, 0.0f);
+      simd::GemmRows(keys + row0 * d, op.w, stk, d, K, 0, n);
+      for (int64_t i = 0; i < n; ++i) {
+        for (int64_t kk = 0; kk < K; ++kk) skt[kk * n + i] = stk[i * K + kk];
       }
       // Membership mask uses the ORIGINAL behavior tags with the effective
       // items, exactly as ExtractInterests builds it.
-      const int32_t* it = all_items + bb * t;
-      const int32_t* bh = all_behs + bb * t;
+      const int32_t* it = all_items + row0;
+      const int32_t* bh = all_behs + row0;
       bool any = false;
-      for (int64_t j = 0; j < t; ++j) {
+      for (int64_t j = 0; j < n; ++j) {
         any |= (it[j] >= 0 && bh[j] == op.behavior);
       }
       for (int64_t kk = 0; kk < K; ++kk) {
-        float* row = skt + kk * t;
-        for (int64_t j = 0; j < t; ++j) {
+        float* row = skt + kk * n;
+        for (int64_t j = 0; j < n; ++j) {
           const bool member = it[j] >= 0 && bh[j] == op.behavior;
           row[j] = row[j] + (member ? 0.0f : -1e9f);
         }
-        SoftmaxRow(row, t);
+        SoftmaxRow(row, n);
       }
       float* o = dst + bb * K * d;
       std::fill(o, o + K * d, 0.0f);
-      simd::GemmRows(skt, enc + bb * t * d, o, t, d, 0, K);
+      simd::GemmRows(skt, enc + row0 * d, o, n, d, 0, K);
       const float ind = any ? 1.0f : 0.0f;
       for (int64_t i = 0; i < K * d; ++i) o[i] = o[i] * ind;
     }
@@ -471,6 +551,9 @@ void PlannedExecutor::ExecGatedFuse(const Op& op, int64_t b) {
 // Common interest: masked mean over every visible position plus the last
 // position's state, replicating MaskedMeanPool (mask-multiply then
 // ascending-t accumulation from 0.0f, count + 1e-9 guard) and LastPosition.
+// Both sums start at s_b: each skipped term added +0 (or h * 0 = ±0) to a
+// +0 accumulator, which leaves it +0. The last position is real whenever
+// s_b > 0.
 void PlannedExecutor::ExecCommonPool(const Op& op, int64_t b) {
   const int64_t t = op.t, d = op.in;
   const float* h = BufPtr(op.src);
@@ -478,16 +561,17 @@ void PlannedExecutor::ExecCommonPool(const Op& op, int64_t b) {
   const int32_t* all_items = items_.data();
   runtime::ParallelFor(0, b, 1, [&](int64_t b0, int64_t b1) {
     for (int64_t bb = b0; bb < b1; ++bb) {
+      const int64_t p0 = Start(op, bb);
       const int32_t* it = all_items + bb * t;
       float count = 0.0f;
-      for (int64_t i = 0; i < t; ++i) count += (it[i] >= 0 ? 1.0f : 0.0f);
+      for (int64_t i = p0; i < t; ++i) count += (it[i] >= 0 ? 1.0f : 0.0f);
       count = count + 1e-9f;
       const float* hb = h + bb * t * d;
       const float* last = hb + (t - 1) * d;
       float* o = dst + bb * d;
       for (int64_t j = 0; j < d; ++j) {
         float acc = 0.0f;
-        for (int64_t i = 0; i < t; ++i) {
+        for (int64_t i = p0; i < t; ++i) {
           acc += hb[i * d + j] * (it[i] >= 0 ? 1.0f : 0.0f);
         }
         o[j] = acc / count + last[j];

@@ -20,7 +20,10 @@
 // live in one pool-backed scratch arena whose offsets Compile assigns by
 // buffer liveness (committed only up to the largest batch run so far), and
 // the catalog is streamed once per batch from 32-item panels by the fused
-// catalog stage (infer/catalog.h).
+// catalog stage (infer/catalog.h). Ops marked `positional` compute only
+// each row's real positions, from its first effective event on, and write
+// the leading padded positions as zeros (padding-free; the skipped work is
+// provably bit-neutral).
 //
 // The bitwise contract: Run() produces scores bitwise identical to
 // MisslModel::ScoreAllItems on the same batch, on every SIMD tier at every
@@ -132,6 +135,11 @@ struct Op {
   float scale = 0.0f;                        ///< scale / eps / gate constant
   int32_t behavior = -1;                     ///< interest channel
   bool flag = false;                         ///< kind-specific switch
+  /// Per-position op: it computes only each batch row's real positions
+  /// [s_b, t) and writes the positions before s_b as zeros (rows of dst;
+  /// for the edge pass of kMaskedNormalize, columns). docs/INFERENCE.md
+  /// "Padding-free positions" proves the skipped work never changes a score.
+  bool positional = false;
 };
 
 /// Compile-time options. The defaults reproduce the fp32 plan exactly.
@@ -225,6 +233,11 @@ class PlannedExecutor {
   /// human-readable plan dump used by tests and debugging.
   std::string ToString() const;
 
+  /// Test hook: commits the arena at max_batch rows and fills every float
+  /// of it with `value`. Filling NaN before a run shows that no op reads a
+  /// float the run has not written (tests/infer_test.cc).
+  void FillScratchForTesting(float value);
+
  private:
   PlannedExecutor() = default;
 
@@ -240,6 +253,19 @@ class PlannedExecutor {
   /// Runs every op but the catalog stage and returns that stage's input.
   CatalogInput Forward(const data::Batch& batch);
   void Execute(const Op& op, int64_t b);
+  /// First computed position of batch row bb for `op`: the row's s_b when
+  /// the op is positional, else 0.
+  int64_t Start(const Op& op, int64_t bb) const {
+    return op.positional ? start_[static_cast<size_t>(bb)] : 0;
+  }
+  /// ParallelFor over the rows an op computes in its [b * rows_per_b] row
+  /// space: fn(r0, r1) gets absolute row ranges. With `positional` only the
+  /// real rows [bb * t + s_b, (bb + 1) * t) are visited, each range inside
+  /// one batch row, and the chunk holding a batch row's first real row
+  /// zero-fills that row's prefix rows of `dst` (`width` floats each).
+  template <typename Fn>
+  void ForRows(const Op& op, bool positional, int64_t b, int64_t cost,
+               float* dst, int64_t width, const Fn& fn);
   void ExecEmbedSum(const Op& op, int64_t b);
   void ExecBuildIncidence(const Op& op, int64_t b);
   void ExecLinear(const Op& op, int64_t b);
@@ -289,6 +315,9 @@ class PlannedExecutor {
 
   // Per-run integer scratch (presized at compile; Run only overwrites).
   std::vector<int32_t> items_;  ///< effective merged items (ablation-masked)
+  std::vector<int64_t> start_;  ///< per row s_b: first effective position,
+                                ///< or 0 when the row has none
+  std::vector<int64_t> real_off_;  ///< prefix sums of t - s_b (b + 1 used)
   std::vector<int32_t> behs_;   ///< behaviors, -1 where items_ < 0
   std::vector<int32_t> rec_;    ///< recency buckets, -1 where items_ < 0
   const int32_t* orig_behs_ = nullptr;  ///< batch.merged_behaviors during Run

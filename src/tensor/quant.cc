@@ -60,12 +60,4 @@ void DequantizeRow(const int8_t* q, float scale, float* out, int64_t n) {
   }
 }
 
-int32_t Int8DotRef(const int8_t* a, const int8_t* b, int64_t n) {
-  int32_t acc = 0;
-  for (int64_t i = 0; i < n; ++i) {
-    acc += static_cast<int32_t>(a[i]) * static_cast<int32_t>(b[i]);
-  }
-  return acc;
-}
-
 }  // namespace missl::quant

@@ -10,12 +10,13 @@
 // saturating). All-zero rows store scale 0 and all-zero codes; dequantization
 // multiplies by the scale, so a zero scale is never divided by.
 //
-// Int8DotRef defines the arithmetic contract of the int8 tier: a plain
-// int32 sum of int32 element products. Integer addition is associative, so
-// every implementation (scalar, AVX2, any blocking) that computes the same
-// mathematical sum is bitwise identical — a strictly stronger guarantee than
-// the fp32 tier's fixed-accumulation-order rule. simd::Int8DotRows dispatches
-// to tiered implementations of exactly this contract.
+// The arithmetic contract of the int8 tier's scoring kernel
+// (simd::Int8DotDequantTile) is a plain int32 sum of int32 element products
+// followed by a fixed fp32 dequant sequence. Integer addition is
+// associative, so every implementation (scalar, AVX2, any blocking) that
+// computes the same mathematical sum is bitwise identical — a strictly
+// stronger guarantee than the fp32 tier's fixed-accumulation-order rule.
+// The scalar reference it is tested against lives in tests/quant_test.cc.
 #ifndef MISSL_TENSOR_QUANT_H_
 #define MISSL_TENSOR_QUANT_H_
 
@@ -47,11 +48,6 @@ void QuantizeRowsSymmetric(const float* x, int64_t rows, int64_t n, int8_t* q,
 /// out[i] = scale * q[i] — the inverse map (up to rounding error; the
 /// round-trip bound |x - out| <= scale / 2 is gated in tests/quant_test.cc).
 void DequantizeRow(const int8_t* q, float scale, float* out, int64_t n);
-
-/// The scalar reference int8 dot: sum over i of int32(a[i]) * int32(b[i]).
-/// This IS the int8 arithmetic contract; simd::Int8DotRows must match it
-/// bitwise on every tier.
-int32_t Int8DotRef(const int8_t* a, const int8_t* b, int64_t n);
 
 }  // namespace missl::quant
 

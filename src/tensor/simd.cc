@@ -37,13 +37,6 @@ void LayerNormGradRow(const float* g, const float* gamma, const float* xh,
                       float m1, float m2, float is, float* gx, int64_t n);
 void SoftmaxGradRow(const float* y, const float* g, float dot, float* ga,
                     int64_t n);
-void Int8DotRows(const int8_t* a, const int8_t* b, int32_t* o, int64_t k,
-                 int64_t r0, int64_t r1);
-void DequantRow(const int32_t* acc, float act_scale, const float* scales,
-                float* out, int64_t n);
-void Int8DotDequantRows(const int8_t* a, float act_scale, const int8_t* b,
-                        const float* scales, float* o, int64_t k, int64_t r0,
-                        int64_t r1);
 void Int8DotDequantTile(const int8_t* a, const float* act_scales, int64_t na,
                         const int8_t* b, const float* scales, float* o,
                         int64_t ldo, int64_t k, int64_t r0, int64_t r1);
@@ -306,30 +299,10 @@ void SoftmaxGradRow(const float* y, const float* g, float dot, float* ga,
 // Integer kernel: unlike the float loops above, this one is the contract
 // only up to the mathematical sum — int32 adds are associative, so any
 // re-blocking (the AVX2 path uses 32-lane maddubs partials) is bitwise
-// identical automatically.
-void Int8DotRows(const int8_t* a, const int8_t* b, int32_t* o, int64_t k,
-                 int64_t r0, int64_t r1) {
-  for (int64_t r = r0; r < r1; ++r) {
-    const int8_t* brow = b + r * k;
-    int32_t acc = 0;
-    for (int64_t i = 0; i < k; ++i) {
-      acc += static_cast<int32_t>(a[i]) * static_cast<int32_t>(brow[i]);
-    }
-    o[r] = acc;
-  }
-}
-
-// Dequant epilogue: per-element fixed rounding sequence (convert, two
-// multiplies); the AVX2 path replays it lane-wise, so tiers agree bitwise.
-void DequantRow(const int32_t* acc, float act_scale, const float* scales,
-                float* out, int64_t n) {
-  for (int64_t i = 0; i < n; ++i) {
-    out[i] = (act_scale * scales[i]) * static_cast<float>(acc[i]);
-  }
-}
-
-// Fused dot + dequant: the integer sum is exact and the epilogue replays
-// DequantRow's per-element sequence, so fused == composed, bitwise.
+// identical automatically. The dequant epilogue is a fixed per-element
+// rounding sequence (convert, two multiplies) that the AVX2 path replays
+// lane-wise.
+namespace {
 void Int8DotDequantRows(const int8_t* a, float act_scale, const int8_t* b,
                         const float* scales, float* o, int64_t k, int64_t r0,
                         int64_t r1) {
@@ -342,6 +315,7 @@ void Int8DotDequantRows(const int8_t* a, float act_scale, const int8_t* b,
     o[r] = (act_scale * scales[r]) * static_cast<float>(acc);
   }
 }
+}  // namespace
 
 // Tile = na independent row-kernel calls; the AVX2 path only changes the
 // catalog traversal order (pairing activation rows), never the arithmetic.
@@ -435,23 +409,6 @@ void LayerNormGradRow(const float* g, const float* gamma, const float* xh,
 void SoftmaxGradRow(const float* y, const float* g, float dot, float* ga,
                     int64_t n) {
   MISSL_SIMD_DISPATCH(SoftmaxGradRow, y, g, dot, ga, n);
-}
-
-void Int8DotRows(const int8_t* a, const int8_t* b, int32_t* o, int64_t k,
-                 int64_t r0, int64_t r1) {
-  MISSL_SIMD_DISPATCH(Int8DotRows, a, b, o, k, r0, r1);
-}
-
-void DequantRow(const int32_t* acc, float act_scale, const float* scales,
-                float* out, int64_t n) {
-  MISSL_SIMD_DISPATCH(DequantRow, acc, act_scale, scales, out, n);
-}
-
-void Int8DotDequantRows(const int8_t* a, float act_scale, const int8_t* b,
-                        const float* scales, float* o, int64_t k, int64_t r0,
-                        int64_t r1) {
-  MISSL_SIMD_DISPATCH(Int8DotDequantRows, a, act_scale, b, scales, o, k, r0,
-                      r1);
 }
 
 void Int8DotDequantTile(const int8_t* a, const float* act_scales, int64_t na,

@@ -167,44 +167,21 @@ void LayerNormGradRow(const float* g, const float* gamma, const float* xh,
 void SoftmaxGradRow(const float* y, const float* g, float dot, float* ga,
                     int64_t n);
 
-/// o[r] = sum over i of int32(a[i]) * int32(b[r*k + i]) for rows r in
-/// [r0, r1): one quantized activation row dotted against rows of a row-major
-/// int8 matrix (the item-major quantized catalog). The contract is
-/// quant::Int8DotRef (tensor/quant.h): a plain int32 sum of element
-/// products. Integer accumulation is order-free, so every tier is bitwise
-/// identical by arithmetic — stronger than the fp32 kernels' fixed-order
-/// rule, and the AVX2 maddubs path may therefore re-block freely. Inputs
-/// must be quantization codes in [-127, 127]; -128 would let a maddubs pair
-/// sum saturate int16.
-void Int8DotRows(const int8_t* a, const int8_t* b, int32_t* o, int64_t k,
-                 int64_t r0, int64_t r1);
-
-/// out[i] = (act_scale * scales[i]) * float(acc[i]) — the fp32 dequant
-/// epilogue of the int8 catalog tier. Per element: one int32->fp32 convert
-/// and two multiplies, each individually rounded in that fixed sequence; the
-/// AVX2 path applies the identical sequence lane-wise (no FMA, no
-/// reassociation), so the tiers agree bitwise.
-void DequantRow(const int32_t* acc, float act_scale, const float* scales,
-                float* out, int64_t n);
-
-/// o[r] = (act_scale * scales[r]) * float(dot(a, b[r,:])) for rows r in
-/// [r0, r1): Int8DotRows with the DequantRow epilogue fused per output. The
-/// integer dot is exact on every tier and the dequant applies DequantRow's
-/// per-element sequence (convert, two rounded multiplies, no FMA), so the
-/// fused kernel is bitwise identical to the two-kernel composition — while
-/// skipping the int32 scratch row's write+read round trip entirely.
-void Int8DotDequantRows(const int8_t* a, float act_scale, const int8_t* b,
-                        const float* scales, float* o, int64_t k, int64_t r0,
-                        int64_t r1);
-
 /// o[i*ldo + r] = (act_scales[i] * scales[r]) * float(dot(a[i,:], b[r,:]))
-/// for activation rows i in [0, na) x catalog rows r in [r0, r1):
-/// Int8DotDequantRows over a whole tile of activation rows. Semantically
-/// exactly na independent calls of the row kernel — same exact integer dots,
-/// same per-element dequant sequence, so bitwise identical on every tier.
-/// The AVX2 path walks the catalog once per PAIR of activation rows (each
-/// loaded catalog vector feeds two dot chains), halving the kernel's
-/// dominant memory stream — the catalog re-read per activation row.
+/// for activation rows i in [0, na) x catalog rows r in [r0, r1): int8
+/// activation rows dotted against rows of a row-major int8 matrix (the
+/// item-major quantized catalog), with the fp32 dequant epilogue fused per
+/// output. The dot is a plain int32 sum of element products; integer
+/// accumulation is order-free, so every tier is bitwise identical by
+/// arithmetic — stronger than the fp32 kernels' fixed-order rule — and the
+/// AVX2 maddubs/vpdpbusd paths may re-block freely. The epilogue is one
+/// int32->fp32 convert then two rounded multiplies in that fixed sequence,
+/// applied lane-wise on AVX2 (no FMA, no reassociation). The AVX2 path walks
+/// the catalog once per PAIR of activation rows (each loaded catalog vector
+/// feeds two dot chains), halving the kernel's dominant memory stream.
+/// Inputs must be quantization codes in [-127, 127]; -128 would let a
+/// maddubs pair sum saturate int16. tests/quant_test.cc holds the scalar
+/// reference (dot, then dequant) every tier is checked against.
 void Int8DotDequantTile(const int8_t* a, const float* act_scales, int64_t na,
                         const int8_t* b, const float* scales, float* o,
                         int64_t ldo, int64_t k, int64_t r0, int64_t r1);

@@ -625,7 +625,7 @@ void SoftmaxGradRow(const float* y, const float* g, float dot, float* ga,
 // ---- Int8 catalog tier ------------------------------------------------------
 //
 // Unlike the float kernels above, the int8 dot is free to re-block: the
-// contract (quant::Int8DotRef) is an int32 sum of int32 products, and
+// contract (the scalar tier's loop) is an int32 sum of int32 products, and
 // integer addition is associative, so maddubs pair sums, 32-lane partials
 // and the final horizontal reduction all land on exactly the scalar result.
 // The signed x signed product runs through the classic sign trick —
@@ -719,21 +719,6 @@ inline int32_t Dot1Fixed(const ActRegs<kNB>& ar, const int8_t* brow) {
   return Hsum256(acc);
 }
 
-template <int kNB>
-void Int8DotRowsFixed(const int8_t* a, const int8_t* b, int32_t* o, int64_t r0,
-                      int64_t r1) {
-  constexpr int64_t k = 32 * kNB;
-  const ActRegs<kNB> ar(a);
-  int64_t r = r0;
-  // Four catalog rows per iteration share the preloaded activation; their
-  // totals come out of one hadd tree as a 4-lane store.
-  for (; r + 4 <= r1; r += 4) {
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(o + r),
-                     Dot4Fixed(ar, b + r * k));
-  }
-  for (; r < r1; ++r) o[r] = Dot1Fixed(ar, b + r * k);
-}
-
 // Two activation rows per catalog sweep: each loaded catalog vector feeds
 // both dot chains, halving the kernel's dominant memory stream (the catalog
 // re-read per activation row — at serving scale the catalog lives in L2 and
@@ -803,7 +788,7 @@ void Int8DotDequantRowsFixed(const int8_t* a, float act_scale, const int8_t* b,
   const ActRegs<kNB> ar(a);
   const __m128 vas = _mm_set1_ps(act_scale);
   int64_t r = r0;
-  // The dequant epilogue applies DequantRow's per-element sequence — cvt,
+  // The dequant epilogue applies the scalar per-element sequence — cvt,
   // two rounded multiplies, no FMA — four lanes at a time, straight out of
   // the hadd tree: the int32 totals never touch memory.
   for (; r + 4 <= r1; r += 4) {
@@ -886,19 +871,6 @@ inline int32_t Dot1Vnni(const ActRegs<kNB>& ar, const int8_t* brow) {
     acc = Int8DotStepVnni(acc, ar.va1, ar.ua1, LoadI8(brow + 32));
   }
   return Hsum256(acc);
-}
-
-template <int kNB>
-void Int8DotRowsVnni(const int8_t* a, const int8_t* b, int32_t* o, int64_t r0,
-                     int64_t r1) {
-  constexpr int64_t k = 32 * kNB;
-  const ActRegs<kNB> ar(a);
-  int64_t r = r0;
-  for (; r + 4 <= r1; r += 4) {
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(o + r),
-                     Dot4Vnni(ar, b + r * k));
-  }
-  for (; r < r1; ++r) o[r] = Dot1Vnni(ar, b + r * k);
 }
 
 template <int kNB>
@@ -997,30 +969,14 @@ int32_t Int8DotGenericVnni(const int8_t* a, const int8_t* brow, int64_t k) {
 
 #pragma GCC pop_options
 
-}  // namespace
-
-void Int8DotRows(const int8_t* a, const int8_t* b, int32_t* o, int64_t k,
-                 int64_t r0, int64_t r1) {
-  if (simd::AvxVnniEnabled()) {
-    if (k == 32) return Int8DotRowsVnni<1>(a, b, o, r0, r1);
-    if (k == 64) return Int8DotRowsVnni<2>(a, b, o, r0, r1);
-    for (int64_t r = r0; r < r1; ++r) {
-      o[r] = Int8DotGenericVnni(a, b + r * k, k);
-    }
-    return;
-  }
-  if (k == 32) return Int8DotRowsFixed<1>(a, b, o, r0, r1);
-  if (k == 64) return Int8DotRowsFixed<2>(a, b, o, r0, r1);
-  for (int64_t r = r0; r < r1; ++r) o[r] = Int8DotGeneric(a, b + r * k, k);
-}
-
+// One activation row against catalog rows [r0, r1), dot + dequant fused:
+// the integer totals are exact (any blocking agrees with the scalar sum)
+// and the epilogue is the fixed per-element sequence of the scalar tier —
+// convert, then two rounded multiplies — so every path here is bitwise the
+// scalar kernel.
 void Int8DotDequantRows(const int8_t* a, float act_scale, const int8_t* b,
                         const float* scales, float* o, int64_t k, int64_t r0,
                         int64_t r1) {
-  // Fused dot + dequant: the integer totals are exact (any blocking agrees
-  // with the scalar sum) and the epilogue replays DequantRow's fixed
-  // per-element sequence, so fused == Int8DotRows + DequantRow, bitwise, on
-  // every tier — while the [V]-sized int32 scratch row disappears entirely.
   if (simd::AvxVnniEnabled()) {
     if (k == 32) return Int8DotDequantRowsVnni<1>(a, act_scale, b, scales, o,
                                                   r0, r1);
@@ -1042,13 +998,15 @@ void Int8DotDequantRows(const int8_t* a, float act_scale, const int8_t* b,
   }
 }
 
+}  // namespace
+
 void Int8DotDequantTile(const int8_t* a, const float* act_scales, int64_t na,
                         const int8_t* b, const float* scales, float* o,
                         int64_t ldo, int64_t k, int64_t r0, int64_t r1) {
   // Semantically na independent Int8DotDequantRows calls; the paired sweep
   // only reorders the catalog traversal (exact integer dots, unchanged
-  // dequant sequence), so the tile stays bitwise identical to the row
-  // kernel on every tier.
+  // dequant sequence), so the tile stays bitwise identical to the scalar
+  // tier.
   const bool vnni = simd::AvxVnniEnabled();
   int64_t i = 0;
   if (k == 32) {
@@ -1075,24 +1033,6 @@ void Int8DotDequantTile(const int8_t* a, const float* act_scales, int64_t na,
   for (; i < na; ++i) {
     Int8DotDequantRows(a + i * k, act_scales[i], b, scales, o + i * ldo, k,
                        r0, r1);
-  }
-}
-
-void DequantRow(const int32_t* acc, float act_scale, const float* scales,
-                float* out, int64_t n) {
-  // Lane-wise identical to the scalar loop: per element one int32->fp32
-  // convert and two rounded multiplies, no reassociation, no FMA — so the
-  // tiers agree bitwise (same argument as the elementwise kernels above).
-  const __m256 vs = _mm256_set1_ps(act_scale);
-  int64_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m256 sc = _mm256_mul_ps(vs, _mm256_loadu_ps(scales + i));
-    const __m256 vi = _mm256_cvtepi32_ps(
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(acc + i)));
-    _mm256_storeu_ps(out + i, _mm256_mul_ps(sc, vi));
-  }
-  for (; i < n; ++i) {
-    out[i] = (act_scale * scales[i]) * static_cast<float>(acc[i]);
   }
 }
 

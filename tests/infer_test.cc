@@ -11,8 +11,11 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <cstring>
+#include <limits>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -22,6 +25,7 @@
 #include "data/batch.h"
 #include "infer/plan.h"
 #include "nn/serialize.h"
+#include "obs/metrics.h"
 #include "runtime/runtime.h"
 #include "serve/service.h"
 #include "tensor/alloc.h"
@@ -192,6 +196,237 @@ TEST(PlannedExecutorTest, BitwiseParityDeepStack) {
   cfg.seq_layers = 2;
   cfg.hgat_layers = 2;
   ExpectBitwiseParity(cfg, 4, 4);
+}
+
+// ---------------------------------------------------------------------------
+// Padding-free positions (docs/INFERENCE.md): positional ops compute only
+// each row's real positions [s_b, t). Every case below is checked bitwise
+// against ScoreAllItems, which computes the full padded forward, for every
+// BitwiseParity* configuration above, on every tier x {1, 2, 4} threads,
+// with the arena filled with NaN before each run (a prefix row read before
+// it was written would poison the scores).
+// ---------------------------------------------------------------------------
+
+std::vector<std::pair<std::string, core::MisslConfig>> ParityConfigs() {
+  std::vector<std::pair<std::string, core::MisslConfig>> out;
+  out.emplace_back("default", BaseConfig());
+  core::MisslConfig c = BaseConfig();
+  c.use_recency = true;
+  out.emplace_back("recency", c);
+  c = BaseConfig();
+  c.use_aux_behaviors = false;
+  out.emplace_back("no_aux", c);
+  c = BaseConfig();
+  c.use_common_interest = false;
+  out.emplace_back("no_common", c);
+  c = BaseConfig();
+  c.use_hypergraph = false;
+  out.emplace_back("no_hypergraph", c);
+  c = BaseConfig();
+  c.routing = core::InterestRouting::kMean;
+  out.emplace_back("mean_routing", c);
+  c = BaseConfig();
+  c.heads = 1;
+  c.use_multi_interest = false;
+  out.emplace_back("single_head_single_interest", c);
+  c = BaseConfig();
+  c.seq_layers = 2;
+  c.hgat_layers = 2;
+  out.emplace_back("deep_stack", c);
+  return out;
+}
+
+/// A `len`-event history, oldest first, with timestamps (so recency buckets
+/// vary). Behaviors are drawn from `behs` (all channels when empty); a
+/// third of the items repeat so repeat hyperedges materialize.
+serve::Query MakeHistory(int64_t len, uint64_t seed,
+                         std::vector<int32_t> behs = {}) {
+  if (behs.empty()) {
+    for (int32_t b = 0; b < kBehaviors; ++b) behs.push_back(b);
+  }
+  Rng rng(seed);
+  serve::Query q;
+  q.now = 1000000;
+  for (int64_t i = 0; i < len; ++i) {
+    q.items.push_back(static_cast<int32_t>(rng.UniformInt(kItems / 3)));
+    q.behaviors.push_back(
+        behs[static_cast<size_t>(rng.UniformInt(behs.size()))]);
+    q.timestamps.push_back(q.now - static_cast<int64_t>(
+                                       rng.UniformInt(1 << 20)));
+  }
+  return q;
+}
+
+/// Runs `batches` in order through one plan per ParityConfigs() entry and
+/// checks every Run bitwise against ScoreAllItems on every tier x {1, 2, 4}
+/// threads. With `poison`, the arena is filled with NaN before each run;
+/// without it, each run sees the previous batch's leftovers.
+void ExpectPaddingParity(const std::vector<std::vector<serve::Query>>& batches,
+                         bool poison) {
+  int64_t cap = 1;
+  for (const auto& qs : batches) {
+    cap = std::max<int64_t>(cap, static_cast<int64_t>(qs.size()));
+  }
+  std::vector<simd::Tier> tiers = {simd::Tier::kScalar};
+  if (simd::Avx2Available()) tiers.push_back(simd::Tier::kAvx2);
+  for (const auto& [name, cfg] : ParityConfigs()) {
+    auto model = MakeModel(cfg);
+    model->SetTraining(false);
+    Tensor catalog;
+    {
+      NoGradGuard ng;
+      catalog = model->PrecomputeCatalog();
+    }
+    Status status;
+    auto plan = infer::PlannedExecutor::Compile(*model, catalog, cap, &status);
+    ASSERT_TRUE(status.ok()) << name << ": " << status.ToString();
+    std::vector<data::Batch> data_batches;
+    std::vector<std::vector<float>> oracles;
+    for (const auto& qs : batches) {
+      data_batches.push_back(serve::BuildQueryBatch(qs, kMaxLen, kBehaviors));
+      NoGradGuard ng;
+      Tensor oracle =
+          model->ScoreAllItems(data_batches.back(), kItems, catalog);
+      oracles.emplace_back(oracle.data(), oracle.data() + oracle.numel());
+    }
+    for (simd::Tier tier : tiers) {
+      simd::ScopedTier tier_guard(tier);
+      for (int threads : {1, 2, 4}) {
+        runtime::ScopedNumThreads thread_guard(threads);
+        for (size_t i = 0; i < data_batches.size(); ++i) {
+          if (poison) {
+            plan->FillScratchForTesting(
+                std::numeric_limits<float>::quiet_NaN());
+          }
+          const float* got = plan->Run(data_batches[i]);
+          const std::vector<float>& want = oracles[i];
+          size_t mismatch = 0;
+          for (size_t j = 0; j < want.size(); ++j) {
+            if (std::memcmp(&got[j], &want[j], sizeof(float)) != 0) {
+              ++mismatch;
+            }
+          }
+          EXPECT_EQ(mismatch, 0u)
+              << mismatch << " of " << want.size() << " scores differ: config="
+              << name << " batch=" << i << " tier=" << simd::TierName(tier)
+              << " threads=" << threads;
+        }
+      }
+    }
+  }
+}
+
+TEST(PaddingFreeTest, EveryLengthFromOneToMaxLen) {
+  std::vector<std::vector<serve::Query>> batches;
+  for (int64_t len = 1; len <= kMaxLen; ++len) {
+    batches.push_back({MakeHistory(len, 500 + static_cast<uint64_t>(len))});
+  }
+  ExpectPaddingParity(batches, /*poison=*/true);
+}
+
+TEST(PaddingFreeTest, MixedLengthBatches) {
+  std::vector<serve::Query> all_lengths;  // one row of every length
+  for (int64_t len = kMaxLen; len >= 1; --len) {
+    all_lengths.push_back(MakeHistory(len, 600 + static_cast<uint64_t>(len)));
+  }
+  ExpectPaddingParity(
+      {all_lengths,
+       {MakeHistory(1, 701), MakeHistory(kMaxLen, 702), MakeHistory(2, 703),
+        MakeHistory(kMaxLen - 1, 704)}},
+      /*poison=*/true);
+}
+
+TEST(PaddingFreeTest, HistoriesLongerThanMaxLen) {
+  ExpectPaddingParity({{MakeHistory(kMaxLen + 1, 801)},
+                       {MakeHistory(2 * kMaxLen, 802),
+                        MakeHistory(3 * kMaxLen + 5, 803),
+                        MakeHistory(3, 804)}},
+                      /*poison=*/true);
+}
+
+TEST(PaddingFreeTest, RowsLackingABehaviorChannel) {
+  // Rows without channel 0, without channel 1, and without the target
+  // channel (kBehaviors - 1): the interest extraction of the missing
+  // channel takes its no-member path, whose output is o * 0.
+  const int32_t target = kBehaviors - 1;
+  std::vector<std::vector<serve::Query>> batches;
+  for (int64_t len : {int64_t{1}, int64_t{6}, kMaxLen}) {
+    const uint64_t s = 900 + static_cast<uint64_t>(len) * 10;
+    batches.push_back({MakeHistory(len, s, {1, target}),
+                       MakeHistory(len, s + 1, {0, target}),
+                       MakeHistory(len, s + 2, {0, 1}),
+                       MakeHistory(len, s + 3, {0})});
+  }
+  ExpectPaddingParity(batches, /*poison=*/true);
+}
+
+TEST(PaddingFreeTest, HiddenAuxiliaryEvents) {
+  // Under use_aux_behaviors = false (the no_aux config) non-target events
+  // are hidden: a row of only auxiliary events has effective length 0 and
+  // runs the full-length path (s_b = 0); a row whose last event is hidden
+  // ends in a masked position; hidden leading events push s_b past the
+  // first real event. The other configs see ordinary rows.
+  const int32_t target = kBehaviors - 1;
+  serve::Query all_hidden = MakeHistory(5, 1001, {0, 1});
+  serve::Query all_hidden_full = MakeHistory(kMaxLen, 1002, {0, 1});
+  serve::Query last_hidden = MakeHistory(7, 1003);
+  last_hidden.behaviors.back() = 0;
+  last_hidden.behaviors.front() = target;
+  serve::Query hidden_prefix = MakeHistory(kMaxLen, 1004, {target});
+  for (size_t i = 0; i < 4; ++i) hidden_prefix.behaviors[i] = 1;
+  ExpectPaddingParity({{all_hidden},
+                       {all_hidden, last_hidden, hidden_prefix,
+                        all_hidden_full},
+                       {last_hidden}},
+                      /*poison=*/true);
+}
+
+TEST(PaddingFreeTest, ShortBatchAfterFullLengthBatchReusesTheArena) {
+  // No NaN fill: the short batches run on the full batch's leftovers, so a
+  // prefix row left unwritten would carry stale values into the scores.
+  std::vector<serve::Query> full, short_rows;
+  for (int i = 0; i < 4; ++i) {
+    full.push_back(MakeHistory(kMaxLen + i, 1100 + static_cast<uint64_t>(i)));
+    short_rows.push_back(
+        MakeHistory(1 + i, 1200 + static_cast<uint64_t>(i)));
+  }
+  ExpectPaddingParity({full, short_rows, full, {short_rows[0]}},
+                      /*poison=*/false);
+}
+
+TEST(PaddingFreeTest, CountersRecordComputedAndPaddedPositions) {
+  const bool was = obs::MetricsEnabled();
+  obs::SetMetricsEnabled(true);
+  auto& reg = obs::MetricsRegistry::Global();
+  obs::Counter& computed = reg.GetCounter("infer.positions_computed");
+  obs::Counter& padded = reg.GetCounter("infer.positions_padded");
+  for (const auto& [name, cfg] : ParityConfigs()) {
+    auto model = MakeModel(cfg);
+    model->SetTraining(false);
+    Status status;
+    auto plan = infer::PlannedExecutor::Compile(*model, Tensor(), 4, &status);
+    ASSERT_TRUE(status.ok()) << status.ToString();
+    // Lengths 1, T (exactly full), T + 3 (truncated to T) and 4; under
+    // no_aux the all-auxiliary row has no effective event and counts as
+    // a full row.
+    std::vector<serve::Query> qs = {
+        MakeHistory(1, 1301, {kBehaviors - 1}),
+        MakeHistory(kMaxLen, 1302, {kBehaviors - 1}),
+        MakeHistory(kMaxLen + 3, 1303, {kBehaviors - 1}),
+        MakeHistory(4, 1304, {0})};
+    const int64_t want_computed =
+        1 + kMaxLen + kMaxLen + (cfg.use_aux_behaviors ? 4 : kMaxLen);
+    data::Batch batch = serve::BuildQueryBatch(qs, kMaxLen, kBehaviors);
+    const int64_t c0 = computed.value(), p0 = padded.value();
+    plan->Run(batch);
+    std::vector<infer::RankRequest> reqs(4);
+    std::vector<core::TopKList> lists(4);
+    plan->RunTopK(batch, reqs.data(), lists.data());
+    EXPECT_EQ(computed.value() - c0, 2 * want_computed) << name;
+    EXPECT_EQ(padded.value() - p0, 2 * (4 * kMaxLen - want_computed))
+        << name;
+  }
+  obs::SetMetricsEnabled(was);
 }
 
 /// Row `r` of `batch` as a batch of one.
@@ -440,6 +675,8 @@ TEST(PlannedExecutorTest, PlanIntrospection) {
   EXPECT_NE(dump.find("embed_sum"), std::string::npos);
   EXPECT_NE(dump.find("catalog_score"), std::string::npos);
   EXPECT_NE(dump.find("interest_extract"), std::string::npos);
+  EXPECT_NE(dump.find("attention encoder.layer0.attn.core positional"),
+            std::string::npos);
 }
 
 TEST(PlannedExecutorServiceTest, ServiceMatchesOfflineRecommendTopN) {

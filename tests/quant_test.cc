@@ -5,9 +5,10 @@
 //   1. Quantization arithmetic: symmetric per-row scales, codes clamped to
 //      ±127 (never -128), all-zero rows quantize without dividing, and the
 //      round-trip error is bounded by scale / 2.
-//   2. Kernel parity: simd::Int8DotRows matches quant::Int8DotRef bitwise on
-//      every tier — integer accumulation is order-free, so this holds for
-//      any blocking by construction, and we verify it anyway.
+//   2. Kernel parity: simd::Int8DotDequantTile matches a scalar reference
+//      (exact int32 dot, then the dequant sequence) bitwise on every tier —
+//      integer accumulation is order-free, so this holds for any blocking
+//      by construction, and we verify it anyway.
 //   3. Plan-level: a quantize_catalog plan is bitwise deterministic across
 //      SIMD tiers x thread counts, allocates nothing in steady state, and
 //      ranks close enough to fp32 (NDCG@10 / top-10 overlap bounds below).
@@ -141,8 +142,23 @@ TEST(QuantizeTest, RandomRowsRoundTripBoundAndStats) {
 }
 
 // ---------------------------------------------------------------------------
-// 2. Kernel parity: Int8DotRows vs the Int8DotRef contract, every tier.
+// 2. Kernel parity: Int8DotDequantTile vs the scalar reference, every tier.
 // ---------------------------------------------------------------------------
+
+// The int8 arithmetic contract, written out: a plain int32 sum of int32
+// element products, then the dequant epilogue — one int32->fp32 convert and
+// two rounded multiplies in that order.
+int32_t Int8DotRef(const int8_t* a, const int8_t* b, int64_t n) {
+  int32_t acc = 0;
+  for (int64_t i = 0; i < n; ++i) {
+    acc += static_cast<int32_t>(a[i]) * static_cast<int32_t>(b[i]);
+  }
+  return acc;
+}
+
+float DequantRef(int32_t acc, float act_scale, float scale) {
+  return (act_scale * scale) * static_cast<float>(acc);
+}
 
 // Tier x VNNI configurations the int8 kernels can dispatch to: scalar, AVX2
 // via the maddubs sign-trick path, and — on CPUs with AVX-VNNI — AVX2 via
@@ -162,36 +178,50 @@ std::vector<KernelConfig> KernelConfigs() {
 }
 
 TEST(Int8DotTest, MatchesReferenceOnEveryTierAndRaggedLengths) {
+  // Unit scales make each output the exact integer dot (every |dot| here is
+  // below 2^24, so the fp32 convert is exact too). Lengths straddle the
+  // 32-lane AVX2 block and the 4-row unroll; na = 1 and 3 take the single-
+  // row path, na = 2 and 3 the paired sweep.
   Rng rng(7);
-  // Lengths straddle the 32-lane AVX2 block and the 4-row unroll.
   for (int64_t k : {1, 7, 31, 32, 33, 64, 96, 100}) {
-    constexpr int64_t kR = 9;
-    std::vector<int8_t> a(k), b(kR * k);
-    for (auto& v : a) v = static_cast<int8_t>(rng.UniformInt(255)) % 127;
-    for (auto& v : b) v = static_cast<int8_t>(rng.UniformInt(255)) % 127;
-    std::vector<int32_t> want(kR);
-    for (int64_t r = 0; r < kR; ++r) {
-      want[static_cast<size_t>(r)] = quant::Int8DotRef(a.data(),
-                                                       b.data() + r * k, k);
-    }
-    for (const KernelConfig& cfg : KernelConfigs()) {
-      simd::ScopedTier guard(cfg.tier);
-      simd::ScopedAvxVnni vguard(cfg.vnni);
-      std::vector<int32_t> got(kR, -999);
-      simd::Int8DotRows(a.data(), b.data(), got.data(), k, 0, kR);
-      for (int64_t r = 0; r < kR; ++r) {
-        EXPECT_EQ(got[static_cast<size_t>(r)], want[static_cast<size_t>(r)])
-            << "k=" << k << " row=" << r << " tier="
-            << simd::TierName(cfg.tier) << " vnni=" << cfg.vnni;
+    for (int64_t na : {1, 2, 3}) {
+      constexpr int64_t kR = 9;
+      std::vector<int8_t> a(na * k), b(kR * k);
+      for (auto& v : a) v = static_cast<int8_t>(rng.UniformInt(255)) % 127;
+      for (auto& v : b) v = static_cast<int8_t>(rng.UniformInt(255)) % 127;
+      const std::vector<float> ones_a(na, 1.0f), ones_b(kR, 1.0f);
+      std::vector<int32_t> want(na * kR);
+      for (int64_t i = 0; i < na; ++i) {
+        for (int64_t r = 0; r < kR; ++r) {
+          want[static_cast<size_t>(i * kR + r)] =
+              Int8DotRef(a.data() + i * k, b.data() + r * k, k);
+        }
       }
-      // Partial row ranges must write exactly [r0, r1).
-      std::vector<int32_t> part(kR, -999);
-      simd::Int8DotRows(a.data(), b.data(), part.data(), k, 2,
-                        std::min<int64_t>(kR, 6));
-      for (int64_t r = 2; r < std::min<int64_t>(kR, 6); ++r) {
-        EXPECT_EQ(part[static_cast<size_t>(r)], want[static_cast<size_t>(r)]);
+      for (const KernelConfig& cfg : KernelConfigs()) {
+        simd::ScopedTier guard(cfg.tier);
+        simd::ScopedAvxVnni vguard(cfg.vnni);
+        std::vector<float> got(na * kR, -999.0f);
+        simd::Int8DotDequantTile(a.data(), ones_a.data(), na, b.data(),
+                                 ones_b.data(), got.data(), kR, k, 0, kR);
+        for (size_t i = 0; i < got.size(); ++i) {
+          EXPECT_EQ(got[i], static_cast<float>(want[i]))
+              << "k=" << k << " na=" << na << " cell=" << i << " tier="
+              << simd::TierName(cfg.tier) << " vnni=" << cfg.vnni;
+        }
+        // Partial row ranges must write exactly [r0, r1).
+        const int64_t r1 = std::min<int64_t>(kR, 6);
+        std::vector<float> part(na * kR, -999.0f);
+        simd::Int8DotDequantTile(a.data(), ones_a.data(), na, b.data(),
+                                 ones_b.data(), part.data(), kR, k, 2, r1);
+        for (int64_t i = 0; i < na; ++i) {
+          for (int64_t r = 2; r < r1; ++r) {
+            const size_t c = static_cast<size_t>(i * kR + r);
+            EXPECT_EQ(part[c], static_cast<float>(want[c]));
+          }
+          EXPECT_EQ(part[static_cast<size_t>(i * kR)], -999.0f);
+          EXPECT_EQ(part[static_cast<size_t>(i * kR + kR - 1)], -999.0f);
+        }
       }
-      EXPECT_EQ(part[0], -999);
     }
   }
 }
@@ -200,33 +230,38 @@ TEST(Int8DotTest, ExtremeCodesNeverSaturateTheInt16Intermediate) {
   // All-(±127) inputs maximize every maddubs pair sum (2 * 127 * 127 =
   // 32258 < 2^15): the AVX2 kernel must still be exact. The vpdpbusd path
   // has no int16 intermediate at all but must land on the same totals.
+  // Unit scales keep the totals exact in fp32 (|dot| <= 100 * 127^2 < 2^24).
+  const float one = 1.0f;
   for (int64_t k : {32, 64, 100}) {
     std::vector<int8_t> a(k, 127), b(k, 127), c(k, -127);
-    int32_t want_pp = quant::Int8DotRef(a.data(), b.data(), k);
-    int32_t want_pn = quant::Int8DotRef(a.data(), c.data(), k);
+    int32_t want_pp = Int8DotRef(a.data(), b.data(), k);
+    int32_t want_pn = Int8DotRef(a.data(), c.data(), k);
     EXPECT_EQ(want_pp, static_cast<int32_t>(k) * 127 * 127);
     EXPECT_EQ(want_pn, -static_cast<int32_t>(k) * 127 * 127);
     for (const KernelConfig& cfg : KernelConfigs()) {
       simd::ScopedTier guard(cfg.tier);
       simd::ScopedAvxVnni vguard(cfg.vnni);
-      int32_t got = 0;
-      simd::Int8DotRows(a.data(), b.data(), &got, k, 0, 1);
-      EXPECT_EQ(got, want_pp) << "k=" << k << " tier="
-                              << simd::TierName(cfg.tier)
-                              << " vnni=" << cfg.vnni;
-      simd::Int8DotRows(a.data(), c.data(), &got, k, 0, 1);
-      EXPECT_EQ(got, want_pn) << "k=" << k << " tier="
-                              << simd::TierName(cfg.tier)
-                              << " vnni=" << cfg.vnni;
+      float got = 0.0f;
+      simd::Int8DotDequantTile(a.data(), &one, 1, b.data(), &one, &got, 1, k,
+                               0, 1);
+      EXPECT_EQ(got, static_cast<float>(want_pp))
+          << "k=" << k << " tier=" << simd::TierName(cfg.tier)
+          << " vnni=" << cfg.vnni;
+      simd::Int8DotDequantTile(a.data(), &one, 1, c.data(), &one, &got, 1, k,
+                               0, 1);
+      EXPECT_EQ(got, static_cast<float>(want_pn))
+          << "k=" << k << " tier=" << simd::TierName(cfg.tier)
+          << " vnni=" << cfg.vnni;
     }
   }
 }
 
 TEST(Int8DotTest, FusedDotDequantMatchesComposedOnEveryTier) {
-  // Int8DotDequantRows must be bitwise identical to Int8DotRows followed by
-  // DequantRow, on every tier, for ragged lengths (exercising the preload,
-  // tail-k, and remainder-row paths) and partial row ranges. The k > 64
-  // cases exceed the AVX2 activation preload window and take its fallback.
+  // The tile kernel's fused dot + dequant must be bitwise identical to the
+  // composed reference (exact integer dot, then the dequant sequence), on
+  // every tier, for ragged lengths (exercising the preload, tail-k, and
+  // remainder-row paths) and partial row ranges. The k > 64 cases exceed
+  // the AVX2 activation preload window and take its fallback.
   Rng rng(23);
   for (int64_t k : {1, 31, 32, 33, 96, 100, 260}) {
     constexpr int64_t kR = 11;
@@ -236,20 +271,18 @@ TEST(Int8DotTest, FusedDotDequantMatchesComposedOnEveryTier) {
     const float act_scale = 0.037f;
     std::vector<float> scales(kR);
     for (auto& s : scales) s = rng.Uniform(1e-3f, 2.0f);
-    // Composed reference on the scalar tier.
-    std::vector<int32_t> acc(kR);
     std::vector<float> want(kR);
-    {
-      simd::ScopedTier guard(simd::Tier::kScalar);
-      simd::Int8DotRows(a.data(), b.data(), acc.data(), k, 0, kR);
-      simd::DequantRow(acc.data(), act_scale, scales.data(), want.data(), kR);
+    for (int64_t r = 0; r < kR; ++r) {
+      want[static_cast<size_t>(r)] =
+          DequantRef(Int8DotRef(a.data(), b.data() + r * k, k), act_scale,
+                     scales[static_cast<size_t>(r)]);
     }
     for (const KernelConfig& cfg : KernelConfigs()) {
       simd::ScopedTier guard(cfg.tier);
       simd::ScopedAvxVnni vguard(cfg.vnni);
       std::vector<float> got(kR, -1.0f);
-      simd::Int8DotDequantRows(a.data(), act_scale, b.data(), scales.data(),
-                               got.data(), k, 0, kR);
+      simd::Int8DotDequantTile(a.data(), &act_scale, 1, b.data(),
+                               scales.data(), got.data(), kR, k, 0, kR);
       for (int64_t r = 0; r < kR; ++r) {
         const size_t i = static_cast<size_t>(r);
         EXPECT_EQ(std::memcmp(&got[i], &want[i], sizeof(float)), 0)
@@ -258,8 +291,8 @@ TEST(Int8DotTest, FusedDotDequantMatchesComposedOnEveryTier) {
             << " got=" << got[i] << " want=" << want[i];
       }
       std::vector<float> part(kR, -1.0f);
-      simd::Int8DotDequantRows(a.data(), act_scale, b.data(), scales.data(),
-                               part.data(), k, 3, 8);
+      simd::Int8DotDequantTile(a.data(), &act_scale, 1, b.data(),
+                               scales.data(), part.data(), kR, k, 3, 8);
       for (int64_t r = 3; r < 8; ++r) {
         const size_t i = static_cast<size_t>(r);
         EXPECT_EQ(std::memcmp(&part[i], &want[i], sizeof(float)), 0);
@@ -271,9 +304,9 @@ TEST(Int8DotTest, FusedDotDequantMatchesComposedOnEveryTier) {
 }
 
 TEST(Int8DotTest, TileMatchesRowKernelOnEveryTier) {
-  // Int8DotDequantTile = na independent Int8DotDequantRows calls, bitwise,
-  // on every tier — including odd na (the paired AVX2 sweep plus a single
-  // trailing row) and k values off the fixed-shape fast paths.
+  // Int8DotDequantTile = na independent rows of the scalar reference,
+  // bitwise, on every tier — including odd na (the paired AVX2 sweep plus a
+  // single trailing row) and k values off the fixed-shape fast paths.
   Rng rng(31);
   for (int64_t k : {32, 64, 48}) {
     for (int64_t na : {1, 2, 5}) {
@@ -286,12 +319,12 @@ TEST(Int8DotTest, TileMatchesRowKernelOnEveryTier) {
       for (auto& s : act_scales) s = rng.Uniform(1e-3f, 0.5f);
       for (auto& s : scales) s = rng.Uniform(1e-3f, 2.0f);
       std::vector<float> want(na * ldo, -7.0f);
-      {
-        simd::ScopedTier guard(simd::Tier::kScalar);
-        for (int64_t i = 0; i < na; ++i) {
-          simd::Int8DotDequantRows(a.data() + i * k, act_scales[i], b.data(),
-                                   scales.data(), want.data() + i * ldo, k, 0,
-                                   kR);
+      for (int64_t i = 0; i < na; ++i) {
+        for (int64_t r = 0; r < kR; ++r) {
+          want[static_cast<size_t>(i * ldo + r)] = DequantRef(
+              Int8DotRef(a.data() + i * k, b.data() + r * k, k),
+              act_scales[static_cast<size_t>(i)],
+              scales[static_cast<size_t>(r)]);
         }
       }
       for (const KernelConfig& cfg : KernelConfigs()) {
